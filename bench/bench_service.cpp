@@ -23,6 +23,8 @@
 // Reported (ungated): p50/p95/p99 latency and QPS per loop mode, batch
 // and LRU statistics.  --quick shrinks everything for CI; writes
 // BENCH_service.json for tools/check_bench_regression.py.
+#include <unistd.h>
+
 #include <algorithm>
 #include <chrono>
 #include <cmath>
@@ -262,7 +264,10 @@ int main(int argc, char** argv) {
       enrolled.push_back(core::enroll_user(pin, pos, neg, config));
     }
   });
-  const std::string store_path = "bench_service.p2mdl";
+  // PID-qualified so concurrent bench runs never share a store file.
+  const std::string store_path =
+      "bench_service_" + std::to_string(static_cast<long>(::getpid())) +
+      ".p2mdl";
   core::UserRegistry registry;
   for (std::size_t i = 0; i < names; ++i) {
     core::EnrolledUser copy = enrolled[i % models];

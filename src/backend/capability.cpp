@@ -2,13 +2,6 @@
 
 #include <atomic>
 
-#if defined(__linux__) && defined(__arm__)
-#include <sys/auxv.h>
-#ifndef HWCAP_NEON
-#define HWCAP_NEON (1 << 12)
-#endif
-#endif
-
 namespace p2auth::backend {
 
 namespace {
@@ -21,16 +14,9 @@ Capability detect() noexcept {
 #if defined(__x86_64__) || defined(__i386__)
   // __builtin_cpu_supports consults CPUID (and XGETBV for the AVX
   // family, so OS save-state support is included in the answer).
-  caps.sse2 = __builtin_cpu_supports("sse2");
   caps.avx2 = __builtin_cpu_supports("avx2");
   caps.avx512 = __builtin_cpu_supports("avx512f");
   caps.fma = __builtin_cpu_supports("fma");
-#elif defined(__aarch64__)
-  // AdvSIMD is architecturally mandatory on AArch64.
-  caps.neon = true;
-  caps.fma = true;
-#elif defined(__linux__) && defined(__arm__)
-  caps.neon = (getauxval(AT_HWCAP) & HWCAP_NEON) != 0;
 #endif
   return caps;
 }
@@ -41,14 +27,10 @@ const char* isa_name(Isa isa) noexcept {
   switch (isa) {
     case Isa::kScalar:
       return "scalar";
-    case Isa::kSse2:
-      return "sse2";
     case Isa::kAvx2:
       return "avx2";
     case Isa::kAvx512:
       return "avx512";
-    case Isa::kNeon:
-      return "neon";
   }
   return "scalar";
 }
@@ -71,14 +53,10 @@ bool supports(const Capability& caps, Isa isa) noexcept {
   switch (isa) {
     case Isa::kScalar:
       return true;
-    case Isa::kSse2:
-      return caps.sse2;
     case Isa::kAvx2:
       return caps.avx2;
     case Isa::kAvx512:
       return caps.avx512;
-    case Isa::kNeon:
-      return caps.neon;
   }
   return false;
 }
@@ -94,8 +72,7 @@ bool compiled_in(std::span<const Isa> compiled, Isa isa) {
 
 Isa best_available(const Capability& caps, std::span<const Isa> compiled) {
   // Widest vectors first; scalar is the unconditional floor.
-  constexpr Isa kPreference[] = {Isa::kAvx512, Isa::kAvx2, Isa::kNeon,
-                                 Isa::kSse2};
+  constexpr Isa kPreference[] = {Isa::kAvx512, Isa::kAvx2};
   for (const Isa isa : kPreference) {
     if (compiled_in(compiled, isa) && supports(caps, isa)) return isa;
   }
@@ -115,7 +92,7 @@ Resolution resolve_backend(const char* requested, const Capability& caps,
   const std::optional<Isa> isa = parse_isa(out.requested);
   if (!isa) {
     throw BackendError("P2AUTH_BACKEND: unknown backend '" + out.requested +
-                       "' (expected scalar|sse2|avx2|avx512|neon)");
+                       "' (expected scalar|avx2|avx512)");
   }
   if (compiled_in(compiled, *isa) && supports(caps, *isa)) {
     out.isa = *isa;

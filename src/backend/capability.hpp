@@ -31,18 +31,14 @@ namespace p2auth::backend {
 // fallback and the differential-testing reference.
 enum class Isa {
   kScalar,
-  kSse2,
   kAvx2,
   kAvx512,
-  kNeon,
 };
 
-inline constexpr Isa kAllIsas[] = {Isa::kScalar, Isa::kSse2, Isa::kAvx2,
-                                   Isa::kAvx512, Isa::kNeon};
+inline constexpr Isa kAllIsas[] = {Isa::kScalar, Isa::kAvx2, Isa::kAvx512};
 
-// Canonical lower-case name ("scalar", "sse2", "avx2", "avx512",
-// "neon"); the spelling accepted by P2AUTH_BACKEND and emitted in run
-// reports.
+// Canonical lower-case name ("scalar", "avx2", "avx512"); the spelling
+// accepted by P2AUTH_BACKEND and emitted in run reports.
 const char* isa_name(Isa isa) noexcept;
 
 // Inverse of isa_name; std::nullopt for anything else (no aliases).
@@ -53,11 +49,9 @@ std::optional<Isa> parse_isa(std::string_view name) noexcept;
 // contraction would break the bit-identity contract with the scalar
 // reference.
 struct Capability {
-  bool sse2 = false;
   bool avx2 = false;
   bool avx512 = false;  // AVX-512 Foundation
   bool fma = false;
-  bool neon = false;
 };
 
 // Host capability, detected on first call and cached for the process
@@ -85,8 +79,7 @@ struct Resolution {
 // Resolves an override string (the value of P2AUTH_BACKEND, a
 // --backend= flag, ...) against `caps` and `compiled`:
 //   * nullptr / "" requests auto-selection: the best ISA that is both
-//     compiled in and supported (preference avx512 > avx2 > neon > sse2
-//     > scalar);
+//     compiled in and supported (preference avx512 > avx2 > scalar);
 //   * a known name that is compiled and supported wins outright;
 //   * a known name that is unavailable falls back to auto-selection and
 //     sets `fell_back`;

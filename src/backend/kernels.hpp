@@ -10,9 +10,7 @@
 namespace p2auth::backend {
 
 const KernelTable& scalar_kernel_table() noexcept;  // always compiled
-const KernelTable& sse2_kernel_table() noexcept;    // x86 builds only
 const KernelTable& avx2_kernel_table() noexcept;    // x86 builds only
 const KernelTable& avx512_kernel_table() noexcept;  // x86 builds only
-const KernelTable& neon_kernel_table() noexcept;    // ARM builds only
 
 }  // namespace p2auth::backend

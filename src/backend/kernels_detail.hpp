@@ -158,9 +158,9 @@ make_scalar_pool_table(std::index_sequence<kSteps...>) {
                : &scalar_ppv_pool_steps<kSteps == 0 ? 1 : kSteps>)...};
 }
 
-// Runtime-steps entry point shared by the scalar table and the ISAs
-// that do not accelerate pooling (SSE2 and NEON lack the vector gather
-// the search needs; integer counts make reuse bit-exact by definition).
+// Runtime-steps entry point of the scalar table, also the fallback of
+// the vector backends for huge bias counts (integer counts make reuse
+// bit-exact by definition).
 inline void scalar_ppv_pool(const double* conv, long long n,
                             const double* pad_bias,
                             const std::uint32_t* rank, std::size_t bpc,

@@ -14,17 +14,11 @@ namespace {
 // unconditional; the rest mirror the P2AUTH_BACKEND_HAS_* definitions.
 constexpr Isa kCompiled[] = {
     Isa::kScalar,
-#if defined(P2AUTH_BACKEND_HAS_SSE2)
-    Isa::kSse2,
-#endif
 #if defined(P2AUTH_BACKEND_HAS_AVX2)
     Isa::kAvx2,
 #endif
 #if defined(P2AUTH_BACKEND_HAS_AVX512)
     Isa::kAvx512,
-#endif
-#if defined(P2AUTH_BACKEND_HAS_NEON)
-    Isa::kNeon,
 #endif
 };
 
@@ -32,10 +26,6 @@ const KernelTable* table_for(Isa isa) noexcept {
   switch (isa) {
     case Isa::kScalar:
       return &scalar_kernel_table();
-#if defined(P2AUTH_BACKEND_HAS_SSE2)
-    case Isa::kSse2:
-      return &sse2_kernel_table();
-#endif
 #if defined(P2AUTH_BACKEND_HAS_AVX2)
     case Isa::kAvx2:
       return &avx2_kernel_table();
@@ -43,10 +33,6 @@ const KernelTable* table_for(Isa isa) noexcept {
 #if defined(P2AUTH_BACKEND_HAS_AVX512)
     case Isa::kAvx512:
       return &avx512_kernel_table();
-#endif
-#if defined(P2AUTH_BACKEND_HAS_NEON)
-    case Isa::kNeon:
-      return &neon_kernel_table();
 #endif
     default:
       return nullptr;

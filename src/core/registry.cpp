@@ -4,9 +4,6 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "core/serialization.hpp"
-#include "util/serialize.hpp"
-
 namespace p2auth::core {
 
 void UserRegistry::add(const std::string& name, EnrolledUser user) {
@@ -108,35 +105,6 @@ UserRegistry::IdentifyResult UserRegistry::identify_preprocessed(
     result.identity = result.scores.front().first;
   }
   return result;
-}
-
-void UserRegistry::save(std::ostream& os) const {
-  util::write_string(os, "p2auth-registry.v1", "");
-  util::write_u64(os, "count", users_.size());
-  for (const auto& [name, user] : users_) {
-    util::write_string(os, "name", name);
-    save_enrolled_user(user, os);
-  }
-}
-
-UserRegistry UserRegistry::load(std::istream& is) {
-  (void)util::read_string(is, "p2auth-registry.v1");
-  const std::uint64_t count = util::read_u64(is, "count");
-  UserRegistry registry;
-  for (std::uint64_t i = 0; i < count; ++i) {
-    const std::string name = util::read_string(is, "name");
-    if (name.empty()) {
-      throw util::SerializeError(util::SerializeErrc::kBadValue,
-                                 "UserRegistry::load: empty user name");
-    }
-    if (registry.find(name) != nullptr) {
-      throw util::SerializeError(
-          util::SerializeErrc::kDuplicateName,
-          "UserRegistry::load: duplicate user name '" + name + "'");
-    }
-    registry.add(name, load_enrolled_user(is));
-  }
-  return registry;
 }
 
 }  // namespace p2auth::core

@@ -2,13 +2,13 @@
 //
 // The paper evaluates verification (a claimed identity is checked), but a
 // deployed device needs user management around it: add/remove/look-up of
-// enrolled users, persistence of the whole registry, and — as a natural
-// extension of the per-user models — 1-of-N *identification*: given an
-// unclaimed entry, score it against every enrolled user's full-waveform
-// model and accept the best-scoring user if their model accepts.
+// enrolled users (persisted by io::save_user_registry_binary_file), and
+// — as a natural extension of the per-user models — 1-of-N
+// *identification*: given an unclaimed entry, score it against every
+// enrolled user's full-waveform model and accept the best-scoring user if
+// their model accepts.
 #pragma once
 
-#include <iosfwd>
 #include <map>
 #include <optional>
 #include <string>
@@ -65,10 +65,6 @@ class UserRegistry {
   // an empty vector.
   IdentifyResult identify_preprocessed(const PreprocessedEntry& pre,
                                        const AuthOptions& options = {}) const;
-
-  // Persistence of the whole registry.
-  void save(std::ostream& os) const;
-  static UserRegistry load(std::istream& is);
 
  private:
   std::map<std::string, EnrolledUser> users_;

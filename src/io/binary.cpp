@@ -1,6 +1,12 @@
 #include "io/binary.hpp"
 
-#include <array>
+#include <fcntl.h>
+#include <unistd.h>
+
+#include <atomic>
+#include <cerrno>
+#include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <istream>
 #include <ostream>
@@ -155,8 +161,8 @@ struct FileHeaderInfo {
 
 FileHeaderInfo parse_file_header(std::span<const std::uint8_t> header) {
   require_little_endian();
-  // Magic first, then length: a non-P2MDL001 file (e.g. a text store fed
-  // to the binary loader) should say "bad magic", not "truncated".
+  // Magic first, then length: a short non-P2MDL001 file should say "bad
+  // magic", not "truncated".
   for (std::size_t i = 0; i < sizeof(kMagic); ++i) {
     if (i >= header.size() ||
         header[i] != static_cast<std::uint8_t>(kMagic[i])) {
@@ -494,20 +500,76 @@ void save_enrolled_user_binary(const core::EnrolledUser& user,
   write_all(os, build_user_record(user));
 }
 
-void save_enrolled_user_binary_file(const core::EnrolledUser& user,
-                                    const std::string& path) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) fail(SerializeErrc::kIoError, "cannot open " + path);
-  save_enrolled_user_binary(user, out);
-  if (!out) fail(SerializeErrc::kIoError, "write failed: " + path);
+namespace {
+
+// Makes the bytes of `path` durable; the store must be on disk before a
+// rename publishes it.
+void sync_file(const std::string& path) {
+  const int fd = ::open(path.c_str(), O_WRONLY);
+  if (fd < 0) {
+    fail(SerializeErrc::kIoError,
+         "cannot open " + path + ": " + std::strerror(errno));
+  }
+  const int rc = ::fsync(fd);
+  const int err = errno;
+  ::close(fd);
+  if (rc != 0) {
+    fail(SerializeErrc::kIoError,
+         "fsync failed: " + path + ": " + std::strerror(err));
+  }
 }
 
-namespace {
+// Writes a store file by replacement, never in place: `write` fills a
+// sibling temp file, which is fsynced and then renamed over `path`.  A
+// reader that mapped the old file keeps its inode, so a live
+// MappedRegistry goes on serving the old generation instead of faulting
+// on a truncated mapping.  On any failure the temp file is removed and
+// `path` is left as it was.
+template <typename Write>
+void replace_file(const std::string& path, Write&& write) {
+  // Unique per process and call, so concurrent writers of one target
+  // never share a temp file.
+  static std::atomic<std::uint64_t> counter{0};
+  const std::string tmp = path + ".tmp." + std::to_string(::getpid()) + "." +
+                          std::to_string(counter.fetch_add(1));
+  try {
+    {
+      std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
+      if (!out) fail(SerializeErrc::kIoError, "cannot open " + tmp);
+      write(out);
+      out.close();
+      if (!out) fail(SerializeErrc::kIoError, "write failed: " + tmp);
+    }
+    sync_file(tmp);
+    if (std::rename(tmp.c_str(), path.c_str()) != 0) {
+      fail(SerializeErrc::kIoError, "cannot rename " + tmp + " to " + path +
+                                        ": " + std::strerror(errno));
+    }
+  } catch (...) {
+    std::remove(tmp.c_str());
+    throw;
+  }
+}
+
+// Bytes left between the stream's current position and its end, when
+// the stream is seekable (files, stringstreams); nullopt otherwise.
+std::optional<std::uint64_t> remaining_bytes(std::istream& is) {
+  // tellg on an unseekable stream returns -1 without touching the
+  // stream state, so the seekg round trip below only runs when seeking
+  // is actually supported.
+  const std::streampos pos = is.tellg();
+  if (pos == std::streampos(-1)) return std::nullopt;
+  is.seekg(0, std::ios::end);
+  const std::streampos end = is.tellg();
+  is.seekg(pos);
+  if (end == std::streampos(-1) || end < pos) return std::nullopt;
+  return static_cast<std::uint64_t>(end - pos);
+}
 
 // Reads the rest of a seekable stream into a buffer, bounded by the
 // bytes actually present (never by a length field).
 std::vector<std::uint8_t> slurp(std::istream& is) {
-  const std::optional<std::uint64_t> rem = util::remaining_bytes(is);
+  const std::optional<std::uint64_t> rem = remaining_bytes(is);
   if (!rem.has_value()) {
     fail(SerializeErrc::kIoError,
          "binary loading requires a seekable stream");
@@ -522,6 +584,13 @@ std::vector<std::uint8_t> slurp(std::istream& is) {
 }
 
 }  // namespace
+
+void save_enrolled_user_binary_file(const core::EnrolledUser& user,
+                                    const std::string& path) {
+  replace_file(path, [&](std::ostream& out) {
+    save_enrolled_user_binary(user, out);
+  });
+}
 
 core::EnrolledUser load_enrolled_user_binary(std::istream& is) {
   const std::vector<std::uint8_t> bytes = slurp(is);
@@ -563,32 +632,30 @@ void save_user_registry_binary(const core::UserRegistry& registry,
 
 void save_user_registry_binary_file(const core::UserRegistry& registry,
                                     const std::string& path) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) fail(SerializeErrc::kIoError, "cannot open " + path);
-  // Stream record-by-record (one record resident at a time), then patch
-  // the index offset into the header — byte-identical to the ostream
-  // overload without buffering the whole store.
-  ByteWriter header;
-  write_file_header(header, FileKind::kUserRegistry, registry.size(), 0);
-  write_all(out, header.buffer());
-  std::vector<NameEntry> entries;
-  std::uint64_t offset = kFileHeaderBytes;
-  for (const std::string& name : registry.names()) {
-    const std::vector<std::uint8_t> record =
-        build_user_record(*registry.find(name));
-    write_all(out, record);
-    entries.push_back({offset, record.size(), name});
-    offset += record.size();
-  }
-  write_all(out, build_name_index(entries));
-  // index_offset lives at byte 24 of the header (magic 8 + version 4 +
-  // kind 4 + record_count 8).
-  out.seekp(24);
-  ByteWriter patch;
-  patch.u64(offset);
-  write_all(out, patch.buffer());
-  out.flush();
-  if (!out) fail(SerializeErrc::kIoError, "write failed: " + path);
+  replace_file(path, [&](std::ostream& out) {
+    // Stream record-by-record (one record resident at a time), then
+    // patch the index offset into the header — byte-identical to the
+    // ostream overload without buffering the whole store.
+    ByteWriter header;
+    write_file_header(header, FileKind::kUserRegistry, registry.size(), 0);
+    write_all(out, header.buffer());
+    std::vector<NameEntry> entries;
+    std::uint64_t offset = kFileHeaderBytes;
+    for (const std::string& name : registry.names()) {
+      const std::vector<std::uint8_t> record =
+          build_user_record(*registry.find(name));
+      write_all(out, record);
+      entries.push_back({offset, record.size(), name});
+      offset += record.size();
+    }
+    write_all(out, build_name_index(entries));
+    // index_offset lives at byte 24 of the header (magic 8 + version 4 +
+    // kind 4 + record_count 8).
+    out.seekp(24);
+    ByteWriter patch;
+    patch.u64(offset);
+    write_all(out, patch.buffer());
+  });
 }
 
 detail::RegistryLayout detail::parse_registry_layout(
@@ -709,16 +776,6 @@ core::UserRegistry load_user_registry_binary_file(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   if (!in) fail(SerializeErrc::kIoError, "cannot open " + path);
   return load_user_registry_binary(in);
-}
-
-FileKind probe_file_kind(std::istream& is) {
-  const std::streampos start = is.tellg();
-  std::array<std::uint8_t, kFileHeaderBytes> header{};
-  is.read(reinterpret_cast<char*>(header.data()), header.size());
-  const std::size_t got = static_cast<std::size_t>(is.gcount());
-  is.clear();
-  is.seekg(start);
-  return parse_file_header(std::span(header).first(got)).kind;
 }
 
 }  // namespace p2auth::io

@@ -1,10 +1,10 @@
-// Binary (P2MDL001) persistence of models, users and registries.
+// Binary (P2MDL001) persistence of models, users and registries — the
+// only format an enrolled model is stored in.
 //
 // Three tiers of access, all sharing one record codec and the typed
-// util::SerializeError surface of the text loader they supersede:
+// util::SerializeError surface:
 //
-//   * save_*/load_* — eager stream/file round trips, drop-in
-//     replacements for the text functions in core/serialization.hpp;
+//   * save_*/load_* — eager stream/file round trips;
 //   * build_user_record / parse_user_record / materialize_user — the
 //     record-level building blocks (a record is a self-contained,
 //     CRC-trailed byte string, so the same parser serves buffers read
@@ -82,8 +82,7 @@ struct MappedUser {
 // ---- record codec -----------------------------------------------------
 
 // Serializes one user into a self-contained CRC-trailed record.  Throws
-// std::logic_error when an engaged model is untrained (same contract as
-// the text writer).
+// std::logic_error when an engaged model is untrained.
 std::vector<std::uint8_t> build_user_record(const core::EnrolledUser& user);
 
 // Builds a zero-copy view; validates structure and, when `verify_crc`,
@@ -102,6 +101,10 @@ core::EnrolledUser materialize_user(const MappedUser& view);
 
 // ---- eager stream / file round trips ----------------------------------
 
+// The file writers never rewrite a store in place: they write a sibling
+// temp file, fsync it and rename it over `path`, so an open
+// MappedRegistry keeps reading the old generation and a failed write
+// leaves the old file intact.
 void save_enrolled_user_binary(const core::EnrolledUser& user,
                                std::ostream& os);
 void save_enrolled_user_binary_file(const core::EnrolledUser& user,
@@ -121,10 +124,5 @@ void save_user_registry_binary_file(const core::UserRegistry& registry,
 // tail); non-seekable streams get kIoError.
 core::UserRegistry load_user_registry_binary(std::istream& is);
 core::UserRegistry load_user_registry_binary_file(const std::string& path);
-
-// Reads and validates a P2MDL001 file header, returning the file kind.
-// Rewinds the stream to where it started.  Throws util::SerializeError
-// (kBadMagic / kVersionSkew) when the bytes are not this format.
-FileKind probe_file_kind(std::istream& is);
 
 }  // namespace p2auth::io

@@ -1,12 +1,10 @@
 // P2MDL001 — the binary model-store format.
 //
-// The text format in core/serialization.hpp parses every byte through
-// strtod-style tokenizing, which caps a registry load at ~100k tokens/ms
-// and forces the whole store resident.  P2MDL001 replaces it with a
-// deterministic little-endian layout designed so a record can be mapped
-// with mmap and *used in place*: every f64 array (MiniRocket biases,
-// ridge weights) starts at a file offset that is a multiple of 8, so a
-// span can point straight into the mapping — no parse, no copy.
+// The only format enrolled models are stored in: a deterministic
+// little-endian layout designed so a record can be mapped with mmap and
+// *used in place* — every f64 array (MiniRocket biases, ridge weights)
+// starts at a file offset that is a multiple of 8, so a span can point
+// straight into the mapping, with no parse and no copy.
 //
 // File layout (all integers little-endian, all offsets 8-byte aligned):
 //
@@ -50,6 +48,8 @@
 #include <cstdint>
 #include <span>
 #include <string_view>
+
+#include "util/crc32.hpp"
 
 namespace p2auth::io {
 
@@ -95,10 +95,8 @@ constexpr std::uint64_t align8(std::uint64_t n) noexcept {
   return (n + 7u) & ~std::uint64_t{7};
 }
 
-// CRC-32 (IEEE 802.3, polynomial 0xEDB88320), table-driven.
-std::uint32_t crc32(std::span<const std::uint8_t> bytes) noexcept;
-std::uint32_t crc32_update(std::uint32_t crc,
-                           std::span<const std::uint8_t> bytes) noexcept;
+// The record and index trailers' checksum.
+using util::crc32;
 
 // FNV-1a 64-bit — the name-index hash.  Stored in the file, so it is
 // part of the format and must never change.

@@ -12,22 +12,6 @@
 
 namespace p2auth::linalg {
 
-void RidgeClassifier::save(std::ostream& os) const {
-  if (!trained()) throw std::logic_error("RidgeClassifier::save: not trained");
-  util::write_string(os, "ridge.v1", "");
-  util::write_vector(os, "weights", weights_);
-  util::write_double(os, "bias", bias_);
-  util::write_double(os, "lambda", chosen_lambda_);
-}
-
-RidgeClassifier RidgeClassifier::load(std::istream& is) {
-  (void)util::read_string(is, "ridge.v1");
-  Vector weights = util::read_vector(is, "weights");
-  const double bias = util::read_double(is, "bias");
-  const double lambda = util::read_double(is, "lambda");
-  return from_parts(std::move(weights), bias, lambda);
-}
-
 RidgeClassifier RidgeClassifier::from_parts(Vector weights, double bias,
                                             double lambda) {
   RidgeClassifier clf;

@@ -13,7 +13,6 @@
 // (y_i - yhat_i) / (1 - H_ii) with H = K (K + lambda I)^{-1}.
 #pragma once
 
-#include <iosfwd>
 #include <span>
 
 #include "linalg/matrix.hpp"
@@ -57,13 +56,9 @@ class RidgeClassifier {
   // selection on imbalanced data.
   const Vector& loo_decisions() const noexcept { return loo_decisions_; }
 
-  // Persists / restores a trained classifier (weights, bias, lambda; the
-  // LOO diagnostics are fit-time-only and not stored).
-  void save(std::ostream& os) const;
-  static RidgeClassifier load(std::istream& is);
-
-  // Reassembles a trained classifier from already-parsed parts — shared
-  // by the text loader and the binary reader in src/io/.  Throws
+  // Reassembles a trained classifier from already-parsed parts (weights,
+  // bias, lambda; the LOO diagnostics are fit-time-only and not stored) —
+  // the entry point of the model-store reader in src/io/.  Throws
   // util::SerializeError on empty weights, non-finite values, or an
   // invalid lambda.
   static RidgeClassifier from_parts(Vector weights, double bias,

@@ -32,7 +32,6 @@
 
 #include <array>
 #include <cstdint>
-#include <iosfwd>
 #include <span>
 #include <vector>
 
@@ -150,16 +149,12 @@ class MiniRocket {
   // transform_batch.
   linalg::Matrix transform(const std::vector<Series>& batch) const;
 
-  // Persists / restores a fitted transform (dilations + biases).
-  void save(std::ostream& os) const;
-  static MiniRocket load(std::istream& is);
-
-  // Reassembles a fitted transform from already-parsed parts — the entry
-  // point shared by the text loader above and the binary reader in
-  // src/io/.  Validates the shape invariants (dilation positivity,
-  // finite biases, kernel-count consistency) and throws
-  // util::SerializeError on any inconsistency; on success rebuilds the
-  // derived PPV search index exactly as fit/load do.
+  // Reassembles a fitted transform (dilations + biases) from
+  // already-parsed parts — the entry point of the model-store reader in
+  // src/io/.  Validates the shape invariants (dilation positivity, finite
+  // biases, kernel-count consistency) and throws util::SerializeError on
+  // any inconsistency; on success rebuilds the derived PPV search index
+  // exactly as fit does.
   static MiniRocket from_parts(MiniRocketOptions options,
                                std::size_t input_length,
                                std::vector<int> dilations,
@@ -167,7 +162,7 @@ class MiniRocket {
                                std::vector<double> biases);
 
  private:
-  // Derived PPV counting index (not serialized; rebuilt by fit/load).
+  // Derived PPV counting index (not stored; rebuilt by fit/from_parts).
   // The fast path counts "conv[i] > bias_q" for all quantiles of a combo
   // in one binary-search pass per element over the combo's *sorted*
   // biases — O(n log q) instead of the scan's O(n q) — then maps the
@@ -220,11 +215,8 @@ class MultiChannelMiniRocket {
   linalg::Matrix transform(const std::vector<std::vector<Series>>& batch,
                            std::size_t max_threads = 0) const;
 
-  void save(std::ostream& os) const;
-  static MultiChannelMiniRocket load(std::istream& is);
-
-  // Binary-reader counterpart of load: adopts per-channel transforms
-  // that were individually validated by MiniRocket::from_parts.  Throws
+  // Model-store reader entry point: adopts per-channel transforms that
+  // were individually validated by MiniRocket::from_parts.  Throws
   // util::SerializeError when `channels` is empty or absurdly wide.
   static MultiChannelMiniRocket from_parts(MiniRocketOptions options,
                                            std::vector<MiniRocket> channels);

@@ -126,17 +126,6 @@ std::string code_name(const std::function<std::string(std::uint8_t)>& fn,
 
 }  // namespace
 
-std::uint32_t crc32(std::span<const std::uint8_t> data) noexcept {
-  std::uint32_t crc = 0xFFFFFFFFu;
-  for (const std::uint8_t byte : data) {
-    crc ^= byte;
-    for (int k = 0; k < 8; ++k) {
-      crc = (crc & 1u) ? (crc >> 1) ^ 0xEDB88320u : crc >> 1;
-    }
-  }
-  return crc ^ 0xFFFFFFFFu;
-}
-
 // ---------------------------------------------------------------------------
 // AuditRing
 

@@ -29,6 +29,7 @@
 #include <vector>
 
 #include "obs/json.hpp"
+#include "util/crc32.hpp"
 
 namespace p2auth::obs {
 
@@ -189,9 +190,9 @@ struct AuditReadResult {
 AuditReadResult read_audit_log(std::istream& is);
 AuditReadResult read_audit_log(const std::string& path);
 
-// CRC32 (IEEE 802.3, polynomial 0xEDB88320) over `data`, exposed for the
-// corruption tests and future binary formats sharing the framing.
-std::uint32_t crc32(std::span<const std::uint8_t> data) noexcept;
+// The header and frame checksum (shared with the P2MDL001 model store),
+// exposed for the corruption tests.
+using util::crc32;
 
 // ---------------------------------------------------------------------------
 // Exports

@@ -1,114 +1,12 @@
 #include "util/serialize.hpp"
 
-#include <cctype>
-#include <charconv>
-#include <iomanip>
-#include <istream>
-#include <limits>
-#include <ostream>
-
 namespace p2auth::util {
-
-namespace {
-
-[[noreturn]] void fail(SerializeErrc code, std::string_view tag,
-                       const char* what) {
-  throw SerializeError(code, "serialize: " + std::string(what) + " at tag '" +
-                                 std::string(tag) + "'");
-}
-
-bool ascii_iequals(std::string_view a, std::string_view b) {
-  if (a.size() != b.size()) return false;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    if (std::tolower(static_cast<unsigned char>(a[i])) !=
-        std::tolower(static_cast<unsigned char>(b[i]))) {
-      return false;
-    }
-  }
-  return true;
-}
-
-// Whitespace-delimited double token.  std::from_chars is used instead of
-// strtod so parsing is independent of the host's LC_NUMERIC locale: a
-// model saved under the C locale ("3.14") must load even when the app
-// embedding the authenticator has called setlocale with e.g. de_DE
-// (where strtod expects "3,14").  "nan"/"inf" spellings (what
-// write_double emits for non-finite values that slipped into a store)
-// are handled explicitly, leaving the accept/reject policy for
-// non-finite values to the loading model class.
-double read_double_token(std::istream& is, std::string_view tag) {
-  std::string token;
-  if (!(is >> token)) fail(SerializeErrc::kTruncated, tag, "bad double value");
-  std::string_view body = token;
-  double sign = 1.0;
-  if (!body.empty() && (body.front() == '+' || body.front() == '-')) {
-    if (body.front() == '-') sign = -1.0;
-    body.remove_prefix(1);
-  }
-  if (ascii_iequals(body, "nan") || ascii_iequals(body, "nan(ind)")) {
-    return sign * std::numeric_limits<double>::quiet_NaN();
-  }
-  if (ascii_iequals(body, "inf") || ascii_iequals(body, "infinity")) {
-    return sign * std::numeric_limits<double>::infinity();
-  }
-  double v = 0.0;
-  const char* first = token.data();
-  const char* last = token.data() + token.size();
-  const auto [ptr, ec] = std::from_chars(first, last, v);
-  if (ec != std::errc{} || ptr != last) {
-    fail(SerializeErrc::kBadValue, tag, "bad double value");
-  }
-  return v;
-}
-
-std::uint64_t read_u64_token(std::istream& is, std::string_view tag,
-                             const char* what) {
-  std::string token;
-  if (!(is >> token)) fail(SerializeErrc::kTruncated, tag, what);
-  // istream extraction into uint64_t wraps "-1" to 2^64-1; a corrupted
-  // count field must instead reject before any loop or allocation sees
-  // the wrapped value.
-  if (token.empty() || token.front() == '-' || token.front() == '+') {
-    fail(SerializeErrc::kBadValue, tag, what);
-  }
-  std::uint64_t v = 0;
-  const char* last = token.data() + token.size();
-  const auto [ptr, ec] = std::from_chars(token.data(), last, v);
-  if (ec != std::errc{} || ptr != last) {
-    fail(SerializeErrc::kBadValue, tag, what);
-  }
-  return v;
-}
-
-// Validates a length prefix of `n` elements, each at least
-// `min_bytes_per_element` bytes of stream representation (the final
-// element may omit its separator, hence the +1), before anything is
-// allocated.  A 20-byte corrupted file claiming 10^18 doubles fails
-// here with kLengthOverflow instead of throwing bad_alloc (or worse,
-// succeeding) inside std::vector.
-void check_length(std::istream& is, std::string_view tag, std::uint64_t n,
-                  std::uint64_t min_bytes_per_element) {
-  if (n == 0) return;
-  if (const std::optional<std::uint64_t> rem = remaining_bytes(is)) {
-    if (n > (*rem + 1) / min_bytes_per_element) {
-      fail(SerializeErrc::kLengthOverflow, tag,
-           "length prefix exceeds remaining stream bytes");
-    }
-  } else if (n > kUnseekableLengthCap) {
-    fail(SerializeErrc::kLengthOverflow, tag,
-         "length prefix exceeds the unseekable-stream cap");
-  }
-}
-
-}  // namespace
 
 std::string_view serialize_errc_slug(SerializeErrc code) noexcept {
   switch (code) {
     case SerializeErrc::kTruncated: return "truncated";
     case SerializeErrc::kBadTag: return "bad-tag";
     case SerializeErrc::kBadValue: return "bad-value";
-    case SerializeErrc::kBadSeparator: return "bad-separator";
-    case SerializeErrc::kLengthOverflow: return "length-overflow";
     case SerializeErrc::kBadMagic: return "bad-magic";
     case SerializeErrc::kVersionSkew: return "version-skew";
     case SerializeErrc::kBadCrc: return "bad-crc";
@@ -118,171 +16,6 @@ std::string_view serialize_errc_slug(SerializeErrc code) noexcept {
     case SerializeErrc::kIoError: return "io-error";
   }
   return "unknown";
-}
-
-std::optional<std::uint64_t> remaining_bytes(std::istream& is) {
-  // tellg on an unseekable stream returns -1 without touching the
-  // stream state, so the seekg round trip below only runs when seeking
-  // is actually supported.
-  const std::streampos pos = is.tellg();
-  if (pos == std::streampos(-1)) return std::nullopt;
-  is.seekg(0, std::ios::end);
-  const std::streampos end = is.tellg();
-  is.seekg(pos);
-  if (end == std::streampos(-1) || end < pos) return std::nullopt;
-  return static_cast<std::uint64_t>(end - pos);
-}
-
-void write_tag(std::ostream& os, std::string_view tag) { os << tag << ' '; }
-
-void write_u64(std::ostream& os, std::string_view tag, std::uint64_t v) {
-  write_tag(os, tag);
-  os << v << '\n';
-}
-
-void write_i64(std::ostream& os, std::string_view tag, std::int64_t v) {
-  write_tag(os, tag);
-  os << v << '\n';
-}
-
-void write_double(std::ostream& os, std::string_view tag, double v) {
-  write_tag(os, tag);
-  os << std::setprecision(std::numeric_limits<double>::max_digits10) << v
-     << '\n';
-}
-
-void write_bool(std::ostream& os, std::string_view tag, bool v) {
-  write_tag(os, tag);
-  os << (v ? 1 : 0) << '\n';
-}
-
-void write_string(std::ostream& os, std::string_view tag,
-                  std::string_view v) {
-  write_tag(os, tag);
-  os << v.size();
-  if (!v.empty()) os << ' ' << v;
-  os << '\n';
-}
-
-void write_vector(std::ostream& os, std::string_view tag,
-                  std::span<const double> v) {
-  write_tag(os, tag);
-  os << v.size();
-  os << std::setprecision(std::numeric_limits<double>::max_digits10);
-  for (const double x : v) os << ' ' << x;
-  os << '\n';
-}
-
-void write_int_vector(std::ostream& os, std::string_view tag,
-                      std::span<const int> v) {
-  write_tag(os, tag);
-  os << v.size();
-  for (const int x : v) os << ' ' << x;
-  os << '\n';
-}
-
-void expect_tag(std::istream& is, std::string_view tag) {
-  std::string got;
-  if (!(is >> got)) {
-    fail(SerializeErrc::kTruncated, tag, "unexpected end of stream");
-  }
-  if (got != tag) {
-    throw SerializeError(SerializeErrc::kBadTag,
-                         "serialize: expected tag '" + std::string(tag) +
-                             "', found '" + got + "'");
-  }
-}
-
-std::uint64_t read_u64(std::istream& is, std::string_view tag) {
-  expect_tag(is, tag);
-  return read_u64_token(is, tag, "bad unsigned value");
-}
-
-std::int64_t read_i64(std::istream& is, std::string_view tag) {
-  expect_tag(is, tag);
-  std::string token;
-  if (!(is >> token)) {
-    fail(SerializeErrc::kTruncated, tag, "bad signed value");
-  }
-  std::int64_t v = 0;
-  const char* first = token.data();
-  if (!token.empty() && token.front() == '+') ++first;  // from_chars rejects +
-  const char* last = token.data() + token.size();
-  const auto [ptr, ec] = std::from_chars(first, last, v);
-  if (ec != std::errc{} || ptr != last || first == last) {
-    fail(SerializeErrc::kBadValue, tag, "bad signed value");
-  }
-  return v;
-}
-
-double read_double(std::istream& is, std::string_view tag) {
-  expect_tag(is, tag);
-  return read_double_token(is, tag);
-}
-
-bool read_bool(std::istream& is, std::string_view tag) {
-  expect_tag(is, tag);
-  const std::uint64_t v = read_u64_token(is, tag, "bad bool value");
-  if (v > 1) fail(SerializeErrc::kBadValue, tag, "bad bool value");
-  return v == 1;
-}
-
-std::string read_string(std::istream& is, std::string_view tag) {
-  expect_tag(is, tag);
-  const std::uint64_t n = read_u64_token(is, tag, "bad string length");
-  if (n == 0) return {};
-  // The separator + n content bytes must still be in the stream before
-  // the string is allocated.
-  if (const std::optional<std::uint64_t> rem = remaining_bytes(is)) {
-    if (n >= *rem) {
-      fail(SerializeErrc::kLengthOverflow, tag,
-           "string length exceeds remaining stream bytes");
-    }
-  } else if (n > kUnseekableLengthCap) {
-    fail(SerializeErrc::kLengthOverflow, tag,
-         "string length exceeds the unseekable-stream cap");
-  }
-  const int sep = is.get();
-  if (sep != ' ') {
-    fail(SerializeErrc::kBadSeparator, tag, "missing string separator");
-  }
-  std::string v(static_cast<std::size_t>(n), '\0');
-  if (!is.read(v.data(), static_cast<std::streamsize>(n))) {
-    fail(SerializeErrc::kTruncated, tag, "truncated string");
-  }
-  return v;
-}
-
-std::vector<double> read_vector(std::istream& is, std::string_view tag) {
-  expect_tag(is, tag);
-  const std::uint64_t n = read_u64_token(is, tag, "bad vector length");
-  // Each stored double occupies at least one digit plus a separator.
-  check_length(is, tag, n, 2);
-  std::vector<double> v(static_cast<std::size_t>(n));
-  for (double& x : v) {
-    x = read_double_token(is, tag);
-  }
-  return v;
-}
-
-std::vector<int> read_int_vector(std::istream& is, std::string_view tag) {
-  expect_tag(is, tag);
-  const std::uint64_t n = read_u64_token(is, tag, "bad vector length");
-  check_length(is, tag, n, 2);
-  std::vector<int> v(static_cast<std::size_t>(n));
-  for (int& x : v) {
-    std::string token;
-    if (!(is >> token)) fail(SerializeErrc::kTruncated, tag, "truncated vector");
-    const char* first = token.data();
-    const char* last = token.data() + token.size();
-    int value = 0;
-    const auto [ptr, ec] = std::from_chars(first, last, value);
-    if (ec != std::errc{} || ptr != last) {
-      fail(SerializeErrc::kBadValue, tag, "bad vector element");
-    }
-    x = value;
-  }
-  return v;
 }
 
 }  // namespace p2auth::util

@@ -2,16 +2,17 @@
 //
 // Built directly via the from_parts validators (no enrollment pipeline),
 // so constructing a structurally complete EnrolledUser costs microseconds
-// and the same seed always produces byte-identical stores — which is what
-// lets the golden-fixture tests pin the text format across releases.
+// and the same seed always produces byte-identical stores.
 #pragma once
 
+#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "core/enrollment.hpp"
 #include "core/registry.hpp"
+#include "io/binary.hpp"
 #include "util/rng.hpp"
 
 namespace p2auth::testing {
@@ -71,6 +72,29 @@ inline core::UserRegistry make_test_registry(std::uint64_t seed = 20260808) {
   registry.add("bob", make_test_user(rng, 2, "0413"));
   registry.add("carol", make_test_user(rng, 3, "77"));
   return registry;
+}
+
+// Round-trips fitted transforms through the P2MDL001 store: they ride as
+// the channels of one user's full model, behind a zero ridge of matching
+// width, and come back through the reader's from_parts validators.
+inline ml::MultiChannelMiniRocket store_round_trip(
+    const ml::MultiChannelMiniRocket& rocket) {
+  core::EnrolledUser user;
+  user.pin = keystroke::Pin("1628");
+  user.full_model = core::WaveformModel::from_parts(
+      rocket,
+      linalg::RidgeClassifier::from_parts(
+          linalg::Vector(rocket.num_features(), 0.0), 0.0, 1.0),
+      0.0);
+  std::stringstream ss;
+  io::save_enrolled_user_binary(user, ss);
+  return io::load_enrolled_user_binary(ss).full_model->rocket();
+}
+
+inline ml::MiniRocket store_round_trip(const ml::MiniRocket& rocket) {
+  return store_round_trip(
+             ml::MultiChannelMiniRocket::from_parts(rocket.options(), {rocket}))
+      .channel(0);
 }
 
 }  // namespace p2auth::testing

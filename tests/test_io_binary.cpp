@@ -3,15 +3,20 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
 
-#include "core/serialization.hpp"
+#include "core/authenticator.hpp"
 #include "io/format.hpp"
 #include "io/mmap_registry.hpp"
 #include "io_fixtures.hpp"
+#include "sim/attacks.hpp"
+#include "sim/dataset.hpp"
+#include "util/crc32.hpp"
 #include "util/serialize.hpp"
 
 namespace p2auth::io {
@@ -22,25 +27,29 @@ using core::UserRegistry;
 using util::SerializeErrc;
 using util::SerializeError;
 
-std::string text_of(const EnrolledUser& user) {
+// The store encodes every persisted field, so equal encodings mean
+// equal users / registries.
+std::vector<std::uint8_t> bytes_of(const EnrolledUser& user) {
+  return build_user_record(user);
+}
+
+std::string bytes_of(const UserRegistry& registry) {
   std::ostringstream os;
-  core::save_enrolled_user(user, os);
+  save_user_registry_binary(registry, os);
   return os.str();
 }
 
-std::string text_of(const UserRegistry& registry) {
-  std::ostringstream os;
-  registry.save(os);
-  return os.str();
+UserRegistry materialize_all(const MappedRegistry& mapped) {
+  UserRegistry out;
+  for (const std::string_view name : mapped.names()) {
+    out.add(std::string(name), mapped.materialize(name));
+  }
+  return out;
 }
 
 EnrolledUser fixture_user() {
   util::Rng rng(101);
   return testing::make_test_user(rng, 7, "1628");
-}
-
-std::string data_path(const std::string& name) {
-  return std::string(P2AUTH_TEST_DATA_DIR) + "/" + name;
 }
 
 // Scoped temp file that cleans up after itself.
@@ -50,12 +59,30 @@ struct TempFile {
   ~TempFile() { std::remove(path.c_str()); }
 };
 
+// Re-stamps a record's CRC trailer after a deliberate patch, so the
+// structural validators (not the CRC) see the mutation.
+void restamp_crc(std::vector<std::uint8_t>& record) {
+  const std::uint32_t crc = util::crc32(
+      std::span<const std::uint8_t>(record).first(record.size() -
+                                                  kRecordTrailerBytes));
+  std::memcpy(record.data() + record.size() - 12, &crc, sizeof(crc));
+}
+
+TEST(Crc32, MatchesIeeeCheckValue) {
+  const std::string check = "123456789";
+  EXPECT_EQ(util::crc32(std::span<const std::uint8_t>(
+                reinterpret_cast<const std::uint8_t*>(check.data()),
+                check.size())),
+            0xCBF43926u);
+  EXPECT_EQ(util::crc32({}), 0u);
+}
+
 TEST(IoBinary, UserRoundTripIsLossless) {
   const EnrolledUser user = fixture_user();
   std::stringstream ss;
   save_enrolled_user_binary(user, ss);
   const EnrolledUser restored = load_enrolled_user_binary(ss);
-  EXPECT_EQ(text_of(restored), text_of(user));
+  EXPECT_EQ(bytes_of(restored), bytes_of(user));
 }
 
 TEST(IoBinary, UserFileRoundTripIsLossless) {
@@ -63,7 +90,7 @@ TEST(IoBinary, UserFileRoundTripIsLossless) {
   TempFile tmp("io_user_roundtrip.p2mdl");
   save_enrolled_user_binary_file(user, tmp.path);
   const EnrolledUser restored = load_enrolled_user_binary_file(tmp.path);
-  EXPECT_EQ(text_of(restored), text_of(user));
+  EXPECT_EQ(bytes_of(restored), bytes_of(user));
 }
 
 TEST(IoBinary, RegistryRoundTripIsLossless) {
@@ -71,7 +98,11 @@ TEST(IoBinary, RegistryRoundTripIsLossless) {
   std::stringstream ss;
   save_user_registry_binary(registry, ss);
   const UserRegistry restored = load_user_registry_binary(ss);
-  EXPECT_EQ(text_of(restored), text_of(registry));
+  ASSERT_EQ(restored.names(), registry.names());
+  for (const std::string& name : registry.names()) {
+    EXPECT_EQ(bytes_of(*restored.find(name)), bytes_of(*registry.find(name)))
+        << name;
+  }
 }
 
 TEST(IoBinary, FileWriterMatchesStreamWriterByteForByte) {
@@ -150,31 +181,27 @@ TEST(IoBinary, MappedRegistryLookupAndMaterialize) {
   ASSERT_EQ(names.size(), 3u);
   EXPECT_EQ(names[0], "alice");  // file order is the registry's sorted order
 
-  UserRegistry rebuilt;
-  for (const std::string_view name : names) {
-    rebuilt.add(std::string(name), mapped.materialize(name));
-  }
-  EXPECT_EQ(text_of(rebuilt), text_of(registry));
+  EXPECT_EQ(bytes_of(materialize_all(mapped)), bytes_of(registry));
 }
 
-TEST(IoBinary, ProbeFileKindDistinguishesStores) {
-  std::stringstream user_ss;
-  save_enrolled_user_binary(fixture_user(), user_ss);
-  EXPECT_EQ(probe_file_kind(user_ss), FileKind::kEnrolledUser);
-  // probe rewinds: the full load must still succeed afterwards.
-  EXPECT_NO_THROW(load_enrolled_user_binary(user_ss));
+// Regenerating a store while a reader has it mapped must not pull the
+// file out from under the mapping: the writer replaces the file, so the
+// open mapping keeps the old generation and a reopen sees the new one.
+TEST(IoBinary, ReplacingAMappedStoreKeepsTheOldGenerationReadable) {
+  const UserRegistry old_generation = testing::make_test_registry(1);
+  // Fewer users: an in-place rewrite would shrink the file below the
+  // old mapping's last pages.
+  UserRegistry new_generation = testing::make_test_registry(2);
+  new_generation.remove("carol");
+  TempFile tmp("io_replace_mapped.p2mdl");
+  save_user_registry_binary_file(old_generation, tmp.path);
 
-  std::stringstream reg_ss;
-  save_user_registry_binary(testing::make_test_registry(), reg_ss);
-  EXPECT_EQ(probe_file_kind(reg_ss), FileKind::kUserRegistry);
+  const MappedRegistry before = MappedRegistry::open(tmp.path);
+  save_user_registry_binary_file(new_generation, tmp.path);
 
-  std::stringstream garbage("p2auth-enrolled-user.v1 0\npin 4 1628\n");
-  try {
-    probe_file_kind(garbage);
-    FAIL() << "expected SerializeError";
-  } catch (const SerializeError& e) {
-    EXPECT_EQ(e.code(), SerializeErrc::kBadMagic);
-  }
+  EXPECT_EQ(bytes_of(materialize_all(before)), bytes_of(old_generation));
+  const MappedRegistry after = MappedRegistry::open(tmp.path);
+  EXPECT_EQ(bytes_of(materialize_all(after)), bytes_of(new_generation));
 }
 
 TEST(IoBinary, EmptyRegistryRoundTrips) {
@@ -185,42 +212,193 @@ TEST(IoBinary, EmptyRegistryRoundTrips) {
   EXPECT_EQ(restored.size(), 0u);
 }
 
-// ---- golden fixtures: the v1 text format must keep loading ------------
+// ---- real enrolled models through the store ---------------------------
 
-TEST(IoBinary, GoldenUserTextFixtureLoadsAndRoundTrips) {
-  std::ifstream in(data_path("enrolled_user_v1.txt"), std::ios::binary);
-  ASSERT_TRUE(in) << "missing tests/data/enrolled_user_v1.txt";
-  std::stringstream fixture;
-  fixture << in.rdbuf();
+// One enrolled user + a few probe observations, built once (enrollment is
+// the expensive part).
+struct Enrolled {
+  sim::Population population;
+  keystroke::Pin pin{"1628"};
+  EnrolledUser user;
+  std::vector<core::Observation> probes;
 
-  fixture.seekg(0);
-  const EnrolledUser user = core::load_enrolled_user(fixture);
-  // Lossless parse/print: re-saving reproduces the fixture bytes.
-  EXPECT_EQ(text_of(user), fixture.str());
+  Enrolled() {
+    sim::PopulationConfig cfg;
+    cfg.num_users = 1;
+    cfg.seed = 505;
+    population = sim::make_population(cfg);
+    util::Rng rng(606);
+    sim::TrialOptions options;
+    std::vector<core::Observation> pos, neg;
+    util::Rng er = rng.fork("enroll");
+    for (sim::Trial& t :
+         sim::make_trials(population.users[0], pin, 6, options, er)) {
+      pos.push_back({std::move(t.entry), std::move(t.trace)});
+    }
+    util::Rng pr = rng.fork("pool");
+    for (sim::Trial& t :
+         sim::make_third_party_pool(population, 30, options, pr)) {
+      neg.push_back({std::move(t.entry), std::move(t.trace)});
+    }
+    core::EnrollmentConfig config;
+    config.privacy_boost = true;
+    config.rocket.num_features = 2000;
+    user = core::enroll_user(pin, pos, neg, config);
+    util::Rng tr = rng.fork("probes");
+    for (int i = 0; i < 4; ++i) {
+      util::Rng r = tr.fork(i);
+      sim::Trial t = sim::make_trial(population.users[0], pin, options, r);
+      probes.push_back({std::move(t.entry), std::move(t.trace)});
+    }
+  }
+};
 
-  // Text -> binary -> text stays byte-identical (the model_convert
-  // migration path is lossless).
-  std::stringstream binary;
-  save_enrolled_user_binary(user, binary);
-  const EnrolledUser converted = load_enrolled_user_binary(binary);
-  EXPECT_EQ(text_of(converted), fixture.str());
+const Enrolled& enrolled() {
+  static const Enrolled instance;
+  return instance;
 }
 
-TEST(IoBinary, GoldenRegistryTextFixtureLoadsAndRoundTrips) {
-  std::ifstream in(data_path("registry_v1.txt"), std::ios::binary);
-  ASSERT_TRUE(in) << "missing tests/data/registry_v1.txt";
-  std::stringstream fixture;
-  fixture << in.rdbuf();
+EnrolledUser round_trip(const EnrolledUser& user) {
+  std::stringstream ss;
+  save_enrolled_user_binary(user, ss);
+  return load_enrolled_user_binary(ss);
+}
 
-  fixture.seekg(0);
-  const UserRegistry registry = UserRegistry::load(fixture);
-  EXPECT_EQ(registry.size(), 3u);
-  EXPECT_EQ(text_of(registry), fixture.str());
+TEST(Serialization, WaveformModelRoundTripPreservesDecisions) {
+  const Enrolled& f = enrolled();
+  const EnrolledUser restored = round_trip(f.user);
+  ASSERT_TRUE(restored.full_model.has_value());
+  // The restored model must produce bit-identical decision values.
+  for (const auto& obs : f.probes) {
+    const auto pre = core::preprocess_entry(obs);
+    const std::size_t first = pre.calibrated_indices.front();
+    const auto full =
+        core::extract_full_waveform(pre.filtered, first, pre.rate_hz);
+    EXPECT_EQ(f.user.full_model->decision(full),
+              restored.full_model->decision(full));
+  }
+  EXPECT_EQ(restored.full_model->threshold(), f.user.full_model->threshold());
+}
 
-  std::stringstream binary;
-  save_user_registry_binary(registry, binary);
-  const UserRegistry converted = load_user_registry_binary(binary);
-  EXPECT_EQ(text_of(converted), fixture.str());
+TEST(Serialization, EnrolledUserRoundTripPreservesAuthDecisions) {
+  const Enrolled& f = enrolled();
+  const EnrolledUser restored = round_trip(f.user);
+  EXPECT_EQ(restored.pin, f.user.pin);
+  EXPECT_EQ(restored.privacy_boost, f.user.privacy_boost);
+  EXPECT_EQ(restored.stats.key_models_trained,
+            f.user.stats.key_models_trained);
+  for (char d = '0'; d <= '9'; ++d) {
+    EXPECT_EQ(restored.has_key_model(d), f.user.has_key_model(d));
+  }
+  core::AuthOptions auth;
+  for (const auto& obs : f.probes) {
+    const core::AuthResult a = core::authenticate(f.user, obs, auth);
+    const core::AuthResult b = core::authenticate(restored, obs, auth);
+    EXPECT_EQ(a.accepted, b.accepted);
+    EXPECT_EQ(a.detected_case, b.detected_case);
+    EXPECT_EQ(a.waveform_score, b.waveform_score);
+  }
+}
+
+TEST(Serialization, FileRoundTrip) {
+  const Enrolled& f = enrolled();
+  TempFile tmp("io_enrolled_user.p2mdl");
+  save_enrolled_user_binary_file(f.user, tmp.path);
+  const EnrolledUser restored = load_enrolled_user_binary_file(tmp.path);
+  EXPECT_EQ(bytes_of(restored), bytes_of(f.user));
+}
+
+TEST(Serialization, FileErrorsThrow) {
+  const Enrolled& f = enrolled();
+  const auto expect_io_error = [](auto&& call) {
+    try {
+      call();
+      FAIL() << "expected SerializeError";
+    } catch (const SerializeError& e) {
+      EXPECT_EQ(e.code(), SerializeErrc::kIoError) << e.what();
+    }
+  };
+  expect_io_error(
+      [&] { save_enrolled_user_binary_file(f.user, "/no-such-dir/x.p2mdl"); });
+  expect_io_error([] { (void)load_enrolled_user_binary_file("/no-such.p2mdl"); });
+
+  // A replacement that fails after its temp file was written (here the
+  // rename, because the target is a directory) removes the temp file.
+  const std::filesystem::path dir = "io_file_errors_dir";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir / "target.p2mdl");
+  expect_io_error([&] {
+    save_enrolled_user_binary_file(f.user, (dir / "target.p2mdl").string());
+  });
+  std::size_t entries = 0;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    EXPECT_EQ(entry.path().filename(), "target.p2mdl");
+    ++entries;
+  }
+  EXPECT_EQ(entries, 1u);
+  std::filesystem::remove_all(dir);
+}
+
+TEST(Serialization, CorruptedStreamThrows) {
+  const Enrolled& f = enrolled();
+  std::stringstream ss;
+  save_enrolled_user_binary(f.user, ss);
+  const std::string bytes = ss.str();
+  std::stringstream truncated(bytes.substr(0, bytes.size() / 2));
+  EXPECT_THROW(load_enrolled_user_binary(truncated), SerializeError);
+  std::string bad = bytes;
+  bad.replace(0, 6, "broken");
+  std::stringstream wrong(bad);
+  try {
+    (void)load_enrolled_user_binary(wrong);
+    FAIL() << "expected SerializeError";
+  } catch (const SerializeError& e) {
+    EXPECT_EQ(e.code(), SerializeErrc::kBadMagic);
+  }
+}
+
+TEST(Serialization, NonFiniteValuesInStoreRejectLoudly) {
+  // Set the stored ridge bias to inf behind a valid CRC: the load must
+  // throw instead of restoring a model whose decision scores are
+  // non-finite.
+  const Enrolled& f = enrolled();
+  std::vector<std::uint8_t> record = build_user_record(f.user);
+  const MappedUser view = parse_user_record(record, /*verify_crc=*/true);
+  // RIDG payload: f64 bias, f64 lambda, u64 n, then the weights.
+  const std::size_t bias_offset =
+      static_cast<std::size_t>(
+          reinterpret_cast<const std::uint8_t*>(
+              view.full_model->ridge.weights.data()) -
+          record.data()) -
+      24;
+  const double inf = std::numeric_limits<double>::infinity();
+  std::memcpy(record.data() + bias_offset, &inf, sizeof(inf));
+  restamp_crc(record);
+  try {
+    (void)materialize_user(parse_user_record(record, /*verify_crc=*/true));
+    FAIL() << "expected SerializeError";
+  } catch (const SerializeError& e) {
+    EXPECT_EQ(e.code(), SerializeErrc::kBadValue);
+    EXPECT_NE(std::string(e.what()).find("non-finite"), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(Serialization, UntrainedModelRefusesToSave) {
+  EnrolledUser user = fixture_user();
+  user.full_model = core::WaveformModel{};
+  std::stringstream ss;
+  EXPECT_THROW(save_enrolled_user_binary(user, ss), std::logic_error);
+}
+
+TEST(Serialization, LoadedModelRefusesQualityEstimate) {
+  // The LOO diagnostics are fit-time-only; a restored model must not
+  // silently report a stale/absent quality estimate.
+  const Enrolled& f = enrolled();
+  EXPECT_NO_THROW((void)f.user.full_model->estimate_quality());
+  const EnrolledUser restored = round_trip(f.user);
+  EXPECT_THROW((void)restored.full_model->estimate_quality(),
+               std::logic_error);
 }
 
 }  // namespace

@@ -1,32 +1,27 @@
-// Corrupted-store fuzz suite shared by the text and binary loaders.
+// Corrupted-store fuzz suite for the P2MDL001 loaders.
 //
 // Contract under corruption: a loader either succeeds (a mutation can
-// land in a don't-care byte or produce a different-but-valid value — the
-// text format especially) or throws util::SerializeError.  It must never
-// crash, escape with another exception type, or attempt an allocation
-// sized by a corrupted length field.  For the binary format the contract
-// is stricter: every bit flip inside the CRC-covered region of a record
-// (or the registry name index) must be rejected.
+// land in a don't-care header byte) or throws util::SerializeError.  It
+// must never crash, escape with another exception type, or attempt an
+// allocation sized by a corrupted length field.  Every bit flip inside
+// the CRC-covered region of a record (or the registry name index) must
+// be rejected.
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <cstring>
 #include <sstream>
 #include <string>
 #include <vector>
 
-#include "core/serialization.hpp"
 #include "io/binary.hpp"
 #include "io/bytes.hpp"
 #include "io/format.hpp"
 #include "io_fixtures.hpp"
-#include "util/serialize.hpp"
 
 namespace p2auth::io {
 namespace {
 
 using core::EnrolledUser;
-using core::UserRegistry;
 using util::SerializeErrc;
 using util::SerializeError;
 
@@ -47,12 +42,6 @@ std::string binary_registry_bytes() {
   return ss.str();
 }
 
-std::string text_user_bytes() {
-  std::ostringstream os;
-  core::save_enrolled_user(fuzz_user(), os);
-  return os.str();
-}
-
 // Result of one corrupted-load attempt.
 enum class Outcome { kLoaded, kTypedError };
 
@@ -71,16 +60,6 @@ Outcome load_binary_registry(const std::string& bytes) {
   std::stringstream ss(bytes);
   try {
     (void)load_user_registry_binary(ss);
-    return Outcome::kLoaded;
-  } catch (const SerializeError&) {
-    return Outcome::kTypedError;
-  }
-}
-
-Outcome load_text_user(const std::string& bytes) {
-  std::istringstream ss(bytes);
-  try {
-    (void)core::load_enrolled_user(ss);
     return Outcome::kLoaded;
   } catch (const SerializeError&) {
     return Outcome::kTypedError;
@@ -340,123 +319,6 @@ TEST(IoFuzz, IndexEntrySpanOutOfBoundsRejected) {
     FAIL() << "out-of-bounds record span loaded";
   } catch (const SerializeError& e) {
     EXPECT_EQ(e.code(), SerializeErrc::kBadShape);
-  }
-}
-
-// ---- text loader under the same mutations -----------------------------
-
-TEST(IoFuzz, TextTruncationNeverEscapesTyped) {
-  const std::string good = text_user_bytes();
-  ASSERT_EQ(load_text_user(good), Outcome::kLoaded);
-  const std::size_t step = std::max<std::size_t>(1, good.size() / 307);
-  for (std::size_t len = 0; len < good.size(); len += step) {
-    // Truncated text must fail (every trailing token is load-bearing),
-    // and must fail typed — load_text_user rethrows anything else.
-    EXPECT_EQ(load_text_user(good.substr(0, len)), Outcome::kTypedError)
-        << "prefix of " << len << " bytes loaded";
-  }
-}
-
-TEST(IoFuzz, TextCharacterMutationsNeverEscapeTyped) {
-  const std::string good = text_user_bytes();
-  const char replacements[] = {'X', '-', '9', ' ', '\n'};
-  const std::size_t step = std::max<std::size_t>(1, good.size() / 251);
-  for (std::size_t i = 0; i < good.size(); i += step) {
-    for (const char r : replacements) {
-      if (good[i] == r) continue;
-      std::string bad = good;
-      bad[i] = r;
-      // A mutation may still parse (e.g. a digit swapped inside a
-      // mantissa); the contract is only "typed error or success".
-      (void)load_text_user(bad);
-    }
-  }
-}
-
-TEST(IoFuzz, TextNegativeCountRejected) {
-  std::string bad = text_user_bytes();
-  const std::size_t pos = bad.find("stats.full_positives 9");
-  ASSERT_NE(pos, std::string::npos);
-  bad.replace(pos, std::strlen("stats.full_positives 9"),
-              "stats.full_positives -9");
-  std::istringstream ss(bad);
-  try {
-    (void)core::load_enrolled_user(ss);
-    FAIL() << "negative count loaded";
-  } catch (const SerializeError& e) {
-    EXPECT_EQ(e.code(), SerializeErrc::kBadValue);
-  }
-}
-
-TEST(IoFuzz, TextOversizedStringLengthRejected) {
-  // "pin <len>" claims far more bytes than the stream holds: the loader
-  // must refuse before reserving a corrupted-length buffer.
-  std::string bad = text_user_bytes();
-  const std::size_t pos = bad.find("pin 4 ");
-  ASSERT_NE(pos, std::string::npos);
-  bad.replace(pos, std::strlen("pin 4 "), "pin 99999999999999 ");
-  std::istringstream ss(bad);
-  try {
-    (void)core::load_enrolled_user(ss);
-    FAIL() << "oversized string length loaded";
-  } catch (const SerializeError& e) {
-    EXPECT_EQ(e.code(), SerializeErrc::kLengthOverflow);
-  }
-}
-
-// ---- serialize-helper bounds (the text loader's first line of defense) -
-
-TEST(IoFuzz, ReadU64RejectsNegativeTokens) {
-  std::istringstream ss("count -1");
-  try {
-    (void)util::read_u64(ss, "count");
-    FAIL() << "-1 parsed as u64";
-  } catch (const SerializeError& e) {
-    EXPECT_EQ(e.code(), SerializeErrc::kBadValue);
-  }
-}
-
-TEST(IoFuzz, ReadVectorBoundsCountByStreamBytes) {
-  std::istringstream ss("weights 1000000000000 1.0 2.0");
-  try {
-    (void)util::read_vector(ss, "weights");
-    FAIL() << "absurd element count accepted";
-  } catch (const SerializeError& e) {
-    EXPECT_EQ(e.code(), SerializeErrc::kLengthOverflow);
-  }
-}
-
-TEST(IoFuzz, ReadStringValidatesSeparator) {
-  // The length token is whitespace-delimited, so the exactly-one-space
-  // separator rule is what a '\n' in its place violates.
-  std::istringstream ss("name 3\nabcdef");
-  try {
-    (void)util::read_string(ss, "name");
-    FAIL() << "bad separator accepted";
-  } catch (const SerializeError& e) {
-    EXPECT_EQ(e.code(), SerializeErrc::kBadSeparator);
-  }
-}
-
-TEST(IoFuzz, ReadDoubleIsLocaleIndependent) {
-  {
-    std::istringstream ss("x 1.5 x -2.25e3 x nan x -inf x infinity");
-    EXPECT_DOUBLE_EQ(util::read_double(ss, "x"), 1.5);
-    EXPECT_DOUBLE_EQ(util::read_double(ss, "x"), -2250.0);
-    EXPECT_TRUE(std::isnan(util::read_double(ss, "x")));
-    EXPECT_TRUE(std::isinf(util::read_double(ss, "x")));
-    EXPECT_TRUE(std::isinf(util::read_double(ss, "x")));
-  }
-  {
-    // A comma mantissa (the de_DE strtod trap) must fail typed, not
-    // silently parse its integer prefix.
-    std::istringstream ss("x 1,5");
-    try {
-      (void)util::read_double(ss, "x");
-      FAIL() << "comma mantissa accepted";
-    } catch (const SerializeError& e) {
-      EXPECT_EQ(e.code(), SerializeErrc::kBadValue);
-    }
   }
 }
 

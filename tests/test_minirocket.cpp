@@ -2,14 +2,14 @@
 
 #include <gtest/gtest.h>
 
-#include <cctype>
 #include <cmath>
+#include <limits>
 #include <set>
 #include <span>
-#include <sstream>
-#include <string_view>
+#include <string>
 #include <utility>
 
+#include "io_fixtures.hpp"
 #include "util/rng.hpp"
 
 namespace p2auth::ml {
@@ -273,6 +273,18 @@ TEST(MiniRocketMaxPooling, FeaturesAreConvolutionMaxima) {
   }
 }
 
+// Rebuilds a fitted transform through from_parts, the store reader's
+// entry point, after `corrupt` has edited its dilations and biases.
+template <typename Corrupt>
+MiniRocket reassemble(const MiniRocket& rocket, Corrupt&& corrupt) {
+  std::vector<int> dilations = rocket.dilations();
+  std::vector<double> biases(rocket.biases().begin(), rocket.biases().end());
+  corrupt(dilations, biases);
+  return MiniRocket::from_parts(rocket.options(), rocket.input_length(),
+                                std::move(dilations),
+                                rocket.biases_per_combo(), std::move(biases));
+}
+
 TEST(MiniRocketMaxPooling, SerializationRoundTrip) {
   std::vector<Series> train = {noise_series(200, 84)};
   util::Rng rng(85);
@@ -280,9 +292,8 @@ TEST(MiniRocketMaxPooling, SerializationRoundTrip) {
   options.pooling = Pooling::kMax;
   MiniRocket rocket(options);
   rocket.fit(train, rng);
-  std::stringstream ss;
-  rocket.save(ss);
-  const MiniRocket restored = MiniRocket::load(ss);
+  const MiniRocket restored = testing::store_round_trip(rocket);
+  EXPECT_EQ(restored.pooling(), Pooling::kMax);
   const Series probe = noise_series(200, 86);
   EXPECT_EQ(rocket.transform(probe), restored.transform(probe));
 }
@@ -293,9 +304,7 @@ TEST(MiniRocketPpv, SerializationRoundTrip) {
   util::Rng rng(89);
   MiniRocket rocket;
   rocket.fit(train, rng);
-  std::stringstream ss;
-  rocket.save(ss);
-  const MiniRocket restored = MiniRocket::load(ss);
+  const MiniRocket restored = testing::store_round_trip(rocket);
   EXPECT_EQ(restored.num_features(), rocket.num_features());
   EXPECT_EQ(restored.input_length(), rocket.input_length());
   EXPECT_EQ(restored.dilations(), rocket.dilations());
@@ -313,9 +322,7 @@ TEST(MultiChannelMiniRocketSerialization, RoundTrip) {
   options.num_features = 1200;
   MultiChannelMiniRocket rocket(options);
   rocket.fit(train, rng);
-  std::stringstream ss;
-  rocket.save(ss);
-  const MultiChannelMiniRocket restored = MultiChannelMiniRocket::load(ss);
+  const MultiChannelMiniRocket restored = testing::store_round_trip(rocket);
   EXPECT_EQ(restored.num_channels(), rocket.num_channels());
   EXPECT_EQ(restored.num_features(), rocket.num_features());
   const std::vector<Series> probe = {noise_series(120, 98),
@@ -324,9 +331,12 @@ TEST(MultiChannelMiniRocketSerialization, RoundTrip) {
 }
 
 TEST(MiniRocketSerialization, UnfittedSaveThrows) {
-  MiniRocket rocket;
-  std::stringstream ss;
-  EXPECT_THROW(rocket.save(ss), std::logic_error);
+  // An unfitted transform cannot be assembled into a storable model.
+  const MultiChannelMiniRocket unfitted;
+  EXPECT_THROW(core::WaveformModel::from_parts(
+                   unfitted,
+                   linalg::RidgeClassifier::from_parts({1.0}, 0.0, 1.0), 0.0),
+               std::invalid_argument);
 }
 
 TEST(MiniRocketSerialization, NonFiniteBiasThrows) {
@@ -336,20 +346,10 @@ TEST(MiniRocketSerialization, NonFiniteBiasThrows) {
   util::Rng rng(92);
   MiniRocket rocket;
   rocket.fit(train, rng);
-  std::stringstream ss;
-  rocket.save(ss);
-  std::string text = ss.str();
-  // Replace the first bias value ("biases <count> <v1> ...") with nan.
-  const auto tag = text.rfind("biases");
-  ASSERT_NE(tag, std::string::npos);
-  const auto count_start = text.find(' ', tag) + 1;
-  const auto value_start = text.find(' ', count_start) + 1;
-  const auto value_end = text.find(' ', value_start);
-  ASSERT_NE(value_end, std::string::npos);
-  text.replace(value_start, value_end - value_start, "nan");
-  std::istringstream bad(text);
   try {
-    MiniRocket::load(bad);
+    reassemble(rocket, [](std::vector<int>&, std::vector<double>& biases) {
+      biases.front() = std::numeric_limits<double>::quiet_NaN();
+    });
     FAIL() << "expected std::runtime_error";
   } catch (const std::runtime_error& e) {
     EXPECT_NE(std::string(e.what()).find("non-finite"), std::string::npos)
@@ -358,7 +358,7 @@ TEST(MiniRocketSerialization, NonFiniteBiasThrows) {
 }
 
 // Fuzz-style round-trip: randomized model shapes (length, budget,
-// pooling, training-set size) must survive save/load with bit-exact
+// pooling, training-set size) must survive the store with bit-exact
 // parameters and bit-exact transforms.
 TEST(MiniRocketSerialization, FuzzRoundTripBitExact) {
   util::Rng rng(0xf022ULL, 0x5e2ULL);
@@ -375,9 +375,7 @@ TEST(MiniRocketSerialization, FuzzRoundTripBitExact) {
       train.push_back(noise_series(length, rng.next_u64()));
     }
     rocket.fit(train, rng);
-    std::stringstream ss;
-    rocket.save(ss);
-    const MiniRocket restored = MiniRocket::load(ss);
+    const MiniRocket restored = testing::store_round_trip(rocket);
     ASSERT_EQ(restored.input_length(), rocket.input_length());
     ASSERT_EQ(restored.dilations(), rocket.dilations());
     ASSERT_EQ(restored.biases_per_combo(), rocket.biases_per_combo());
@@ -398,85 +396,7 @@ TEST(MiniRocketSerialization, FuzzRoundTripBitExact) {
   }
 }
 
-// Every whitespace-boundary truncation of a valid stream must surface as
-// a typed std::runtime_error from load, never a crash, hang or silently
-// half-initialised model.
-TEST(MiniRocketSerialization, TruncatedStreamsRejected) {
-  std::vector<Series> train = {noise_series(40, 191)};
-  util::Rng rng(192);
-  MiniRocketOptions options;
-  options.num_features = 84;  // keep the serialized text small
-  MiniRocket rocket(options);
-  rocket.fit(train, rng);
-  std::stringstream ss;
-  rocket.save(ss);
-  const std::string text = ss.str();
-  std::size_t tested = 0;
-  // The final cut position (the trailing newline) is excluded: stream
-  // extraction does not need it, so that "truncation" still parses.
-  for (std::size_t cut = 0; cut + 1 < text.size(); ++cut) {
-    // Truncating mid-token is covered by the nearest boundary cut; token
-    // boundaries are where the reader's state machine actually lands.
-    if (cut != 0 && !std::isspace(static_cast<unsigned char>(text[cut]))) {
-      continue;
-    }
-    std::istringstream bad(text.substr(0, cut));
-    EXPECT_THROW(MiniRocket::load(bad), std::runtime_error)
-        << "cut at " << cut;
-    ++tested;
-  }
-  EXPECT_GT(tested, 10u);
-  // Sanity: the untruncated stream still loads.
-  std::istringstream good(text);
-  EXPECT_NO_THROW(MiniRocket::load(good));
-}
-
-// Swapping two tagged fields must be caught by the tag check of whichever
-// field is read first, as a typed error naming the expected tag.
-TEST(MiniRocketSerialization, FieldReorderedStreamsRejected) {
-  std::vector<Series> train = {noise_series(40, 193)};
-  util::Rng rng(194);
-  MiniRocketOptions options;
-  options.num_features = 84;
-  MiniRocket rocket(options);
-  rocket.fit(train, rng);
-  std::stringstream ss;
-  rocket.save(ss);
-  const std::string text = ss.str();
-  // A u64 field serializes as "tag value\n"; swap two such fields while
-  // leaving everything between them in place.
-  const auto swap_fields = [&](std::string_view first,
-                               std::string_view second) {
-    const std::size_t a = text.find(first);
-    const std::size_t a_end = text.find('\n', a) + 1;
-    const std::size_t b = text.find(second);
-    const std::size_t b_end = text.find('\n', b) + 1;
-    EXPECT_NE(a, std::string::npos);
-    EXPECT_NE(b, std::string::npos);
-    EXPECT_LE(a_end, b);
-    return text.substr(0, a) + text.substr(b, b_end - b) +
-           text.substr(a_end, b - a_end) + text.substr(a, a_end - a) +
-           text.substr(b_end);
-  };
-  for (const auto& [first, second] :
-       std::vector<std::pair<std::string_view, std::string_view>>{
-           {"max_dilations", "pooling"},
-           {"input_length", "biases_per_combo"}}) {
-    std::istringstream bad(swap_fields(first, second));
-    try {
-      MiniRocket::load(bad);
-      FAIL() << "expected std::runtime_error swapping " << first << "/"
-             << second;
-    } catch (const std::runtime_error& e) {
-      // The error must name the tag the reader expected.
-      EXPECT_NE(std::string(e.what()).find(std::string(first)),
-                std::string::npos)
-          << e.what();
-    }
-  }
-}
-
-// A stream whose dilation came back corrupted to a non-positive value is
+// A store whose dilation came back corrupted to a non-positive value is
 // rejected before it can index outside every shift partition.
 TEST(MiniRocketSerialization, NonPositiveDilationRejected) {
   std::vector<Series> train = {noise_series(40, 195)};
@@ -485,19 +405,10 @@ TEST(MiniRocketSerialization, NonPositiveDilationRejected) {
   options.num_features = 84;
   MiniRocket rocket(options);
   rocket.fit(train, rng);
-  std::stringstream ss;
-  rocket.save(ss);
-  std::string text = ss.str();
-  // "\ndilations" skips over the earlier "max_dilations" field.
-  const std::size_t tag = text.find("\ndilations") + 1;
-  ASSERT_NE(tag, std::string::npos + 1);
-  const std::size_t count_start = text.find(' ', tag) + 1;
-  const std::size_t value_start = text.find(' ', count_start) + 1;
-  const std::size_t value_end = text.find(' ', value_start);
-  text.replace(value_start, value_end - value_start, "-3");
-  std::istringstream bad(text);
   try {
-    MiniRocket::load(bad);
+    reassemble(rocket, [](std::vector<int>& dilations, std::vector<double>&) {
+      dilations.front() = -3;
+    });
     FAIL() << "expected std::runtime_error";
   } catch (const std::runtime_error& e) {
     EXPECT_NE(std::string(e.what()).find("dilation"), std::string::npos)
@@ -510,13 +421,13 @@ TEST(MiniRocketSerialization, CorruptedShapeThrows) {
   util::Rng rng(92);
   MiniRocket rocket;
   rocket.fit(train, rng);
-  std::stringstream ss;
-  rocket.save(ss);
-  std::string text = ss.str();
-  // Chop the biases vector short.
-  const auto pos = text.rfind("biases");
-  std::istringstream bad(text.substr(0, pos) + "biases 3 1 2");
-  EXPECT_THROW(MiniRocket::load(bad), std::runtime_error);
+  // Chop the biases short.
+  EXPECT_THROW(
+      reassemble(rocket,
+                 [](std::vector<int>&, std::vector<double>& biases) {
+                   biases = {1.0, 2.0, 3.0};
+                 }),
+      std::runtime_error);
 }
 
 }  // namespace

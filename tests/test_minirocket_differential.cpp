@@ -26,6 +26,7 @@
 #include <vector>
 
 #include "backend/policy.hpp"
+#include "io_fixtures.hpp"
 #include "util/rng.hpp"
 
 // ---------------------------------------------------------------------------
@@ -238,16 +239,15 @@ TEST(MiniRocketDifferential, BatchMatchesReferenceAcrossThreadCounts) {
   }
 }
 
-// Models that arrive via save/load (the deployment path) must transform
-// identically to the freshly fitted instance through both engines.
+// Models that arrive through the model store (the deployment path) must
+// transform identically to the freshly fitted instance through both
+// engines.
 TEST(MiniRocketDifferential, ReloadedModelStaysBitIdentical) {
   for (const backend::Isa isa : backend::available_isas()) {
     ForcedBackend forced(isa);
     const std::string backend_name = backend::isa_name(isa);
     const MiniRocket model = fitted_model(90, Pooling::kPpv, 0x5e71a1ULL);
-    std::stringstream stream;
-    model.save(stream);
-    const MiniRocket reloaded = MiniRocket::load(stream);
+    const MiniRocket reloaded = testing::store_round_trip(model);
     util::Rng rng(0x5e71a1d0ULL, 0x22ULL);
     for (std::size_t c = 0; c < 25; ++c) {
       const Series x = random_series(90, rng);

@@ -6,7 +6,6 @@
 
 #include <array>
 #include <cmath>
-#include <sstream>
 
 #include "core/authenticator.hpp"
 #include "core/enrollment.hpp"
@@ -15,7 +14,6 @@
 #include "sim/attacks.hpp"
 #include "sim/dataset.hpp"
 #include "sim/faults.hpp"
-#include "util/serialize.hpp"
 
 namespace p2auth::core {
 namespace {
@@ -287,18 +285,14 @@ TEST(MiniRocketProperties, LoadedOversizedDilationTransformsBitExact) {
   const std::vector<int> dilations = {1, 4};
   const std::size_t combos = ml::minirocket_kernels().size() * dilations.size();
   util::Rng rng(0x10adULL, 0xaaULL);
-  std::stringstream ss;
-  util::write_string(ss, "minirocket.v1", "");
-  util::write_u64(ss, "num_features_opt", combos);
-  util::write_u64(ss, "max_dilations", 32);
-  util::write_u64(ss, "pooling", 0);  // kPpv
-  util::write_u64(ss, "input_length", length);
-  util::write_int_vector(ss, "dilations", dilations);
-  util::write_u64(ss, "biases_per_combo", 1);
+  ml::MiniRocketOptions options;
+  options.num_features = combos;
+  options.max_dilations = 32;
+  options.pooling = ml::Pooling::kPpv;
   std::vector<double> biases(combos);
   for (double& b : biases) b = rng.normal();
-  util::write_vector(ss, "biases", biases);
-  const ml::MiniRocket model = ml::MiniRocket::load(ss);
+  const ml::MiniRocket model = ml::MiniRocket::from_parts(
+      options, length, dilations, 1, std::move(biases));
   for (int trial = 0; trial < 20; ++trial) {
     const ml::Series x = random_series(length, rng);
     const linalg::Vector fast = model.transform(x);

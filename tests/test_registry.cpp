@@ -7,6 +7,7 @@
 #include <limits>
 #include <sstream>
 
+#include "io/binary.hpp"
 #include "sim/dataset.hpp"
 
 namespace p2auth::core {
@@ -164,8 +165,8 @@ TEST(Registry, IdentifyOnEmptyRegistryThrows) {
 TEST(Registry, SaveLoadRoundTrip) {
   const TwoUsers& f = fixture();
   std::stringstream ss;
-  f.registry.save(ss);
-  const UserRegistry restored = UserRegistry::load(ss);
+  io::save_user_registry_binary(f.registry, ss);
+  const UserRegistry restored = io::load_user_registry_binary(ss);
   EXPECT_EQ(restored.size(), 2u);
   const Observation obs = f.entry_by(0, f.pin_a, 60);
   EXPECT_EQ(f.registry.verify("alice", obs).accepted,
@@ -175,8 +176,8 @@ TEST(Registry, SaveLoadRoundTrip) {
 }
 
 TEST(Registry, LoadRejectsCorruptedHeader) {
-  std::istringstream bad("not-a-registry 0");
-  EXPECT_THROW(UserRegistry::load(bad), std::runtime_error);
+  std::stringstream bad("not-a-registry 0");
+  EXPECT_THROW(io::load_user_registry_binary(bad), std::runtime_error);
 }
 
 // Regression: an entry whose preprocessing found no calibrated keystroke
