@@ -6,7 +6,8 @@
 // transform throughput (reference serial loop vs fast single-series vs
 // tiled batch engine), writing BENCH_primitives.json for the CI perf
 // gate (tools/check_bench_regression.py compares the speedup ratios
-// against bench/baselines/primitives_baseline.json).
+// against bench/baselines/primitives_baseline.json), plus per-backend
+// timings at the scoring-window and full-waveform shapes (ungated).
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -154,7 +155,7 @@ int run_quick_transform_throughput(std::optional<backend::Isa> requested) {
   }
 
   // The gated three-engine comparison runs with dispatch forced to the
-  // scalar backend: that table is the PR-5 autovectorized fast path, so
+  // scalar backend, which has no explicit SIMD, so
   // fast_vs_reference_speedup / batch_speedup measure the algorithmic
   // win alone and stay comparable across hosts whatever SIMD they have.
   backend::force_isa(backend::Isa::kScalar);
@@ -233,6 +234,57 @@ int run_quick_transform_throughput(std::optional<backend::Isa> requested) {
                  serial_s / isa_s);
     std::printf("  %-8s: %8.1f us/transform  (%.2fx vs scalar)\n",
                 name.c_str(), isa_s * per, serial_s / isa_s);
+  }
+
+  // Per-backend serial transform at the production shape: the
+  // full-waveform model (4 PPG channels x 600 samples, paper-default
+  // options; the 9996-feature budget splits to 2940 features and 5 biases
+  // per combo on each channel).  Informational, like the keys above.
+  constexpr std::size_t kChannels = 4;
+  constexpr std::size_t kFullLength = 600;
+  constexpr std::size_t kFullBatch = 16;
+  const auto multichannel_sample = [&] {
+    std::vector<ml::Series> sample(kChannels, ml::Series(kFullLength));
+    for (auto& channel : sample) {
+      for (double& v : channel) v = rng.normal();
+    }
+    return sample;
+  };
+  std::vector<std::vector<ml::Series>> full_train(6);
+  for (auto& sample : full_train) sample = multichannel_sample();
+  ml::MultiChannelMiniRocket full;
+  full.fit(full_train, rng);
+  std::vector<std::vector<ml::Series>> full_batch(kFullBatch);
+  for (auto& sample : full_batch) sample = multichannel_sample();
+  linalg::Vector features(full.num_features(), 0.0);
+  ml::TransformScratch scratch;
+  std::printf("per-backend serial transform, %zu channels x %zu samples "
+              "(%zu features):\n",
+              kChannels, kFullLength, full.num_features());
+  double full_scalar_s = 0.0;
+  for (const backend::Isa isa : isas) {
+    backend::force_isa(isa);
+    full.transform_into(full_batch.front(), features, scratch);
+    double isa_s = 1e300;
+    for (int r = 0; r < kRepeats; ++r) {
+      isa_s = std::min(isa_s, bench::timed_s([&] {
+        for (const auto& sample : full_batch) {
+          full.transform_into(sample, features, scratch);
+          benchmark::DoNotOptimize(features.data());
+        }
+      }));
+    }
+    if (isa == backend::Isa::kScalar) full_scalar_s = isa_s;
+    const std::string name = backend::isa_name(isa);
+    const double us = isa_s * 1e6 / static_cast<double>(kFullBatch);
+    report.value("backend_" + name + "_full_waveform_us", us);
+    std::printf("  %-8s: %8.1f us/transform", name.c_str(), us);
+    if (full_scalar_s > 0.0) {
+      report.value("backend_" + name + "_full_waveform_speedup_vs_scalar",
+                   full_scalar_s / isa_s);
+      std::printf("  (%.2fx vs scalar)", full_scalar_s / isa_s);
+    }
+    std::printf("\n");
   }
 
   // Drop the measurement forcing before write() stamps the "backend"

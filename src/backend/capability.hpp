@@ -1,6 +1,6 @@
 // Runtime CPU-capability detection for the SIMD kernel backends.
 //
-// The hot kernels (MiniRocket nine-tap convolution, fused PPV pooling,
+// The hot kernels (MiniRocket nine-tap convolution, fused conv+PPV,
 // ridge dot/axpy) exist in several instruction-set variants compiled
 // into separate translation units (see policy.hpp).  This header owns
 // the *selection inputs*: what the host CPU supports (detected once via

@@ -1,16 +1,17 @@
 // AVX2 kernel backend (256-bit, four doubles per vector).  Compiled
 // with -mavx2 -mno-fma -ffp-contract=off: FMA contraction would change
 // rounding and break the bit-identity contract, so multiplies and adds
-// stay separate instructions.  Edges and vector tails run the shared
-// scalar helpers; interiors run four lanes wide in the scalar
-// per-element operation order.  PPV pooling counts threshold
-// exceedances directly with packed compares (exact integers, so the
-// features stay bit-identical); gathers are deliberately avoided — a
-// vectorized binary search needs one gather per step and measures
-// slower than the scalar cmov search on every x86 core we tried.
+// stay separate instructions.  In the nine-tap sum and kernel_conv,
+// edges and vector tails run the shared scalar helpers and interiors run
+// four lanes wide in the scalar per-element operation order.  conv_ppv
+// counts threshold exceedances directly with packed compares (exact
+// integers, so the features stay bit-identical) on responses that never
+// leave registers.
 #if defined(__x86_64__) || defined(__i386__)
 
 #include <immintrin.h>
+
+#include <cstddef>
 
 #include "backend/kernels.hpp"
 #include "backend/kernels_detail.hpp"
@@ -69,98 +70,72 @@ void kernel_conv_avx2(const double* x, long long n, const double* sum9,
   }
 }
 
-// Sums the four 64-bit lanes of a packed counter.
-inline std::size_t hsum_epi64(__m256i c) {
-  alignas(32) long long lanes[4];
-  _mm256_store_si256(reinterpret_cast<__m256i*>(lanes), c);
-  return static_cast<std::size_t>(lanes[0] + lanes[1] + lanes[2] + lanes[3]);
-}
-
-// Direct exceedance counting: for each sorted threshold t,
-// hist[t] = #elements with conv[i] > pad_bias[t], accumulated four
-// elements per compare, two thresholds per pass so each conv load is
-// reused.  _CMP_GT_OQ is false on NaN exactly like the scalar `>`, so
-// the integer counts — and hence the emitted features — are
-// bit-identical to the scalar search-plus-fold path.  O(n * bpc / 8)
-// fully pipelined ops beat the scalar O(n log bpc) cmov search at the
-// realistic bias counts (tens per combo); for degenerate huge bpc the
-// asymptotics flip and the scalar path takes over (ppv_pool_avx2).
-void avx2_ppv_count(const double* conv, long long n, const double* pad_bias,
-                    const std::uint32_t* rank, std::size_t bpc, double inv_n,
-                    std::size_t* hist, double* out) {
-  // Six thresholds per pass: six broadcast + six counter registers stay
-  // resident, so each conv load is amortised over 24 element-threshold
-  // compares and the per-pass reduction overhead is paid bpc/6 times.
-  std::size_t t = 0;
-  for (; t + 6 <= bpc; t += 6) {
-    const __m256d b0 = _mm256_set1_pd(pad_bias[t]);
-    const __m256d b1 = _mm256_set1_pd(pad_bias[t + 1]);
-    const __m256d b2 = _mm256_set1_pd(pad_bias[t + 2]);
-    const __m256d b3 = _mm256_set1_pd(pad_bias[t + 3]);
-    const __m256d b4 = _mm256_set1_pd(pad_bias[t + 4]);
-    const __m256d b5 = _mm256_set1_pd(pad_bias[t + 5]);
-    __m256i c0 = _mm256_setzero_si256();
-    __m256i c1 = _mm256_setzero_si256();
-    __m256i c2 = _mm256_setzero_si256();
-    __m256i c3 = _mm256_setzero_si256();
-    __m256i c4 = _mm256_setzero_si256();
-    __m256i c5 = _mm256_setzero_si256();
-    long long i = 0;
-    for (; i + 4 <= n; i += 4) {
-      const __m256d v = _mm256_loadu_pd(conv + i);
-      // A true compare is all-ones (-1): subtracting the mask counts.
-      c0 = _mm256_sub_epi64(
-          c0, _mm256_castpd_si256(_mm256_cmp_pd(v, b0, _CMP_GT_OQ)));
-      c1 = _mm256_sub_epi64(
-          c1, _mm256_castpd_si256(_mm256_cmp_pd(v, b1, _CMP_GT_OQ)));
-      c2 = _mm256_sub_epi64(
-          c2, _mm256_castpd_si256(_mm256_cmp_pd(v, b2, _CMP_GT_OQ)));
-      c3 = _mm256_sub_epi64(
-          c3, _mm256_castpd_si256(_mm256_cmp_pd(v, b3, _CMP_GT_OQ)));
-      c4 = _mm256_sub_epi64(
-          c4, _mm256_castpd_si256(_mm256_cmp_pd(v, b4, _CMP_GT_OQ)));
-      c5 = _mm256_sub_epi64(
-          c5, _mm256_castpd_si256(_mm256_cmp_pd(v, b5, _CMP_GT_OQ)));
-    }
-    std::size_t counts[6] = {hsum_epi64(c0), hsum_epi64(c1), hsum_epi64(c2),
-                             hsum_epi64(c3), hsum_epi64(c4), hsum_epi64(c5)};
-    for (; i < n; ++i) {
-      const double v = conv[i];
-      for (int k = 0; k < 6; ++k) counts[k] += v > pad_bias[t + k] ? 1 : 0;
-    }
-    for (int k = 0; k < 6; ++k) hist[t + k] = counts[k];
-  }
-  for (; t < bpc; ++t) {
-    const __m256d b0 = _mm256_set1_pd(pad_bias[t]);
-    __m256i c0 = _mm256_setzero_si256();
-    long long i = 0;
-    for (; i + 4 <= n; i += 4) {
-      c0 = _mm256_sub_epi64(
-          c0, _mm256_castpd_si256(_mm256_cmp_pd(_mm256_loadu_pd(conv + i),
-                                                b0, _CMP_GT_OQ)));
-    }
-    std::size_t n0 = hsum_epi64(c0);
-    for (; i < n; ++i) n0 += conv[i] > pad_bias[t] ? 1 : 0;
-    hist[t] = n0;
-  }
-  for (std::size_t q = 0; q < bpc; ++q) {
-    out[q] = static_cast<double>(hist[rank[q]]) * inv_n;
+// Stores the lane sums of kB packed counters to counts[0..kB): four
+// counters at a time, two levels of unpack/permute + add transpose them
+// into one vector of four sums.
+template <int kB>
+void store_counter_sums(const __m256i (&c)[kB], std::size_t* counts) {
+  const auto counter = [&](int k) {
+    return k < kB ? c[k] : _mm256_setzero_si256();
+  };
+  // [a lanes 0+1, b lanes 0+1, a lanes 2+3, b lanes 2+3]
+  const auto pair = [](__m256i a, __m256i b) {
+    return _mm256_add_epi64(_mm256_unpacklo_epi64(a, b),
+                            _mm256_unpackhi_epi64(a, b));
+  };
+  for (int j = 0; j < kB; j += 4) {
+    const __m256i lo = pair(counter(j), counter(j + 1));
+    const __m256i hi = pair(counter(j + 2), counter(j + 3));
+    const __m256i sums =
+        _mm256_add_epi64(_mm256_permute2x128_si256(lo, hi, 0x20),
+                         _mm256_permute2x128_si256(lo, hi, 0x31));
+    const __m256i keep = _mm256_cmpgt_epi64(_mm256_set1_epi64x(kB - j),
+                                            _mm256_set_epi64x(3, 2, 1, 0));
+    _mm256_maskstore_epi64(reinterpret_cast<long long*>(counts + j), keep,
+                           sums);
   }
 }
 
-void ppv_pool_avx2(const double* conv, long long n, const double* pad_bias,
-                   const std::uint32_t* rank, std::size_t bpc,
-                   std::size_t steps, double inv_n, std::size_t* hist,
-                   double* out) {
-  // Past ~128 biases per combo (far beyond any realistic feature
-  // budget) the O(n log bpc) scalar search wins; below it the packed
-  // count does.  Both produce the same exact integers.
-  if (bpc > 128) {
-    detail::scalar_ppv_pool(conv, n, pad_bias, rank, bpc, steps, inv_n,
-                            hist, out);
-    return;
+// One register block of conv_ppv: kB broadcast biases and kB packed
+// counters stay resident while each 4-element block of the response is
+// formed (-sum9 as a sign flip, then the three x3 taps in ascending
+// order) and compared against all of them.  A true compare is all-ones
+// (-1), so subtracting the mask counts; _CMP_GT_OQ is false on NaN like
+// the scalar `>`, so the NaN lanes of the last block count nothing.
+template <int kB>
+void conv_ppv_group(const double* x3, const double* sum9, long long n,
+                    detail::TapShifts s, const double* bias,
+                    std::size_t* counts) {
+  const __m256d sign = _mm256_set1_pd(-0.0);
+  __m256d b[kB];
+  __m256i c[kB];
+  for (int k = 0; k < kB; ++k) {
+    b[k] = _mm256_set1_pd(bias[k]);
+    c[k] = _mm256_setzero_si256();
   }
-  avx2_ppv_count(conv, n, pad_bias, rank, bpc, inv_n, hist, out);
+  for (long long i = 0; i < n; i += 4) {
+    __m256d v = _mm256_xor_pd(_mm256_loadu_pd(sum9 + i), sign);
+    v = _mm256_add_pd(v, _mm256_loadu_pd(x3 + i + s.a));
+    v = _mm256_add_pd(v, _mm256_loadu_pd(x3 + i + s.b));
+    v = _mm256_add_pd(v, _mm256_loadu_pd(x3 + i + s.c));
+    for (int k = 0; k < kB; ++k) {
+      c[k] = _mm256_sub_epi64(
+          c[k], _mm256_castpd_si256(_mm256_cmp_pd(v, b[k], _CMP_GT_OQ)));
+    }
+  }
+  store_counter_sums<kB>(c, counts);
+}
+
+void conv_ppv_avx2(const double* x3, const double* sum9, long long n,
+                   int k0, int k1, int k2, long long d,
+                   const ComboBiases& biases, double inv_n,
+                   std::size_t* counts, double* out) {
+  const detail::TapShifts s = detail::conv_ppv_shifts(k0, k1, k2, d, n);
+  detail::for_each_bias_group(biases.count, [&](auto width, std::size_t t) {
+    conv_ppv_group<decltype(width)::value>(x3, sum9, n, s, biases.sorted + t,
+                                           counts + t);
+  });
+  detail::emit_ranked(counts, biases.rank, biases.count, inv_n, out);
 }
 
 double dot_avx2(const double* a, const double* b, std::size_t n) {
@@ -194,8 +169,8 @@ void axpy_avx2(double alpha, const double* x, double* y, std::size_t n) {
 
 const KernelTable& avx2_kernel_table() noexcept {
   static constexpr KernelTable kTable{
-      Isa::kAvx2,         "avx2",         &nine_tap_sum_avx2,
-      &kernel_conv_avx2,  &ppv_pool_avx2, &dot_avx2,
+      Isa::kAvx2,        "avx2",         &nine_tap_sum_avx2,
+      &kernel_conv_avx2, &conv_ppv_avx2, &dot_avx2,
       &axpy_avx2,
   };
   return kTable;

@@ -3,14 +3,18 @@
 // an explicit intrinsic, so no fused multiply-adds appear and the
 // bit-identity contract with the scalar reference holds.
 //
-// Where this backend differs from the AVX2 one: edges are vectorized
-// too.  AVX-512 merge-masking (`_mm512_mask_add_pd`) leaves a masked
-// lane's bits untouched, which is exactly the scalar edge semantics —
-// an out-of-range tap is *skipped*, not added as 0.0.  (Adding +0.0
-// instead would flip a -0.0 accumulator to +0.0 and break bit
-// identity; that hazard is why the AVX2 backend keeps scalar edges.)
-// Masked loads suppress faults on the masked lanes, so edge blocks can
-// load through pointers whose masked lanes fall outside the series.
+// Where this backend differs from the AVX2 one: the edges of the stored
+// kernels (nine-tap sum, kernel_conv) are vectorized too.  AVX-512
+// merge-masking (`_mm512_mask_add_pd`) leaves a masked lane's bits
+// untouched, which is exactly the scalar edge semantics — an
+// out-of-range tap is *skipped*, not added as 0.0.  (Adding +0.0 instead
+// would flip a -0.0 accumulator to +0.0 and break the bit identity of a
+// stored response; that hazard is why the AVX2 backend keeps scalar
+// edges there.)  Masked loads suppress faults on the masked lanes, so
+// edge blocks can load through pointers whose masked lanes fall outside
+// the series.  conv_ppv needs none of this: it only compares its
+// responses, and its padded buffers turn every block into the interior
+// case (see ConvPpvFn in policy.hpp).
 //
 // The dot product must follow the cross-backend width-4 stripe
 // contract (see kernels_detail.hpp), so it deliberately stays 256-bit:
@@ -29,10 +33,6 @@ namespace p2auth::backend {
 
 namespace {
 
-// Pointer displaced by a possibly out-of-range element offset.  Edge
-// blocks aim masked loads at addresses whose masked lanes precede the
-// array; routing the arithmetic through uintptr_t keeps the (never
-// dereferenced) out-of-bounds computation out of pointer-UB territory.
 // Bit-exact sign flip via integer xor (_mm512_xor_pd needs AVX-512DQ;
 // vpxorq is plain AVX-512F).
 inline __m512d xor_pd_f(__m512d a, __m512d b) noexcept {
@@ -40,6 +40,10 @@ inline __m512d xor_pd_f(__m512d a, __m512d b) noexcept {
       _mm512_xor_si512(_mm512_castpd_si512(a), _mm512_castpd_si512(b)));
 }
 
+// Pointer displaced by a possibly out-of-range element offset.  Edge
+// blocks aim masked loads at addresses whose masked lanes precede the
+// array; routing the arithmetic through uintptr_t keeps the (never
+// dereferenced) out-of-bounds computation out of pointer-UB territory.
 inline const double* displaced(const double* base, long long off) noexcept {
   return reinterpret_cast<const double*>(
       reinterpret_cast<std::uintptr_t>(base) +
@@ -134,98 +138,76 @@ void kernel_conv_avx512(const double* x, long long n, const double* sum9,
   }
 }
 
-// Direct exceedance counting, eight thresholds per pass and eight
-// elements per compare (see the AVX2 backend for why counting beats a
-// gathered binary search; the counts are exact integers, so features
-// stay bit-identical).  The tail mask folds straight into the compare:
-// `_mm512_mask_cmp_pd_mask` never sets a masked lane, so there is no
-// scalar element tail at all.
-void avx512_ppv_count(const double* conv, long long n, const double* pad_bias,
-                      const std::uint32_t* rank, std::size_t bpc,
-                      double inv_n, std::size_t* hist, double* out) {
-  const __m512i one = _mm512_set1_epi64(1);
-  std::size_t t = 0;
-  for (; t + 8 <= bpc; t += 8) {
-    const __m512d b0 = _mm512_set1_pd(pad_bias[t]);
-    const __m512d b1 = _mm512_set1_pd(pad_bias[t + 1]);
-    const __m512d b2 = _mm512_set1_pd(pad_bias[t + 2]);
-    const __m512d b3 = _mm512_set1_pd(pad_bias[t + 3]);
-    const __m512d b4 = _mm512_set1_pd(pad_bias[t + 4]);
-    const __m512d b5 = _mm512_set1_pd(pad_bias[t + 5]);
-    const __m512d b6 = _mm512_set1_pd(pad_bias[t + 6]);
-    const __m512d b7 = _mm512_set1_pd(pad_bias[t + 7]);
-    __m512i c0 = _mm512_setzero_si512();
-    __m512i c1 = _mm512_setzero_si512();
-    __m512i c2 = _mm512_setzero_si512();
-    __m512i c3 = _mm512_setzero_si512();
-    __m512i c4 = _mm512_setzero_si512();
-    __m512i c5 = _mm512_setzero_si512();
-    __m512i c6 = _mm512_setzero_si512();
-    __m512i c7 = _mm512_setzero_si512();
-    for (long long i = 0; i < n; i += 8) {
-      const __mmask8 mt =
-          i + 8 <= n ? static_cast<__mmask8>(0xff)
-                     : static_cast<__mmask8>((1u << (n - i)) - 1u);
-      const __m512d v = _mm512_maskz_loadu_pd(mt, conv + i);
-      // _CMP_GT_OQ is false on NaN, matching the scalar `>`.
-      c0 = _mm512_mask_sub_epi64(
-          c0, _mm512_mask_cmp_pd_mask(mt, v, b0, _CMP_GT_OQ), c0, one);
-      c1 = _mm512_mask_sub_epi64(
-          c1, _mm512_mask_cmp_pd_mask(mt, v, b1, _CMP_GT_OQ), c1, one);
-      c2 = _mm512_mask_sub_epi64(
-          c2, _mm512_mask_cmp_pd_mask(mt, v, b2, _CMP_GT_OQ), c2, one);
-      c3 = _mm512_mask_sub_epi64(
-          c3, _mm512_mask_cmp_pd_mask(mt, v, b3, _CMP_GT_OQ), c3, one);
-      c4 = _mm512_mask_sub_epi64(
-          c4, _mm512_mask_cmp_pd_mask(mt, v, b4, _CMP_GT_OQ), c4, one);
-      c5 = _mm512_mask_sub_epi64(
-          c5, _mm512_mask_cmp_pd_mask(mt, v, b5, _CMP_GT_OQ), c5, one);
-      c6 = _mm512_mask_sub_epi64(
-          c6, _mm512_mask_cmp_pd_mask(mt, v, b6, _CMP_GT_OQ), c6, one);
-      c7 = _mm512_mask_sub_epi64(
-          c7, _mm512_mask_cmp_pd_mask(mt, v, b7, _CMP_GT_OQ), c7, one);
-    }
-    // The counters accumulate -count; reduce and negate.
-    hist[t] = static_cast<std::size_t>(-_mm512_reduce_add_epi64(c0));
-    hist[t + 1] = static_cast<std::size_t>(-_mm512_reduce_add_epi64(c1));
-    hist[t + 2] = static_cast<std::size_t>(-_mm512_reduce_add_epi64(c2));
-    hist[t + 3] = static_cast<std::size_t>(-_mm512_reduce_add_epi64(c3));
-    hist[t + 4] = static_cast<std::size_t>(-_mm512_reduce_add_epi64(c4));
-    hist[t + 5] = static_cast<std::size_t>(-_mm512_reduce_add_epi64(c5));
-    hist[t + 6] = static_cast<std::size_t>(-_mm512_reduce_add_epi64(c6));
-    hist[t + 7] = static_cast<std::size_t>(-_mm512_reduce_add_epi64(c7));
+// Transposing reduction of kB <= 8 packed counters: lane k of the result
+// sums the eight lanes of c[k] (lanes past kB are zero).  Three levels of
+// unpack/shuffle + add replace eight separate horizontal sums.  The maskz
+// forms with a full mask are the plain instructions; the plain intrinsics
+// pass an _mm512_undefined_epi32() operand that GCC 12 reports as
+// -Wmaybe-uninitialized once inlined.
+template <int kB>
+__m512i sum_counters(const __m512i (&c)[kB]) {
+  const __mmask8 all = 0xff;
+  const auto counter = [&](int k) {
+    return k < kB ? c[k] : _mm512_setzero_si512();
+  };
+  // d[j], 128-bit lane L: [c[2j] lanes 2L..2L+1, c[2j+1] lanes 2L..2L+1].
+  __m512i d[4];
+  for (int j = 0; j < 4; ++j) {
+    const __m512i a = counter(2 * j), b = counter(2 * j + 1);
+    d[j] = _mm512_add_epi64(_mm512_maskz_unpacklo_epi64(all, a, b),
+                            _mm512_maskz_unpackhi_epi64(all, a, b));
   }
-  for (; t < bpc; ++t) {
-    const __m512d b0 = _mm512_set1_pd(pad_bias[t]);
-    __m512i c0 = _mm512_setzero_si512();
-    for (long long i = 0; i < n; i += 8) {
-      const __mmask8 mt =
-          i + 8 <= n ? static_cast<__mmask8>(0xff)
-                     : static_cast<__mmask8>((1u << (n - i)) - 1u);
-      const __m512d v = _mm512_maskz_loadu_pd(mt, conv + i);
-      c0 = _mm512_mask_sub_epi64(
-          c0, _mm512_mask_cmp_pd_mask(mt, v, b0, _CMP_GT_OQ), c0, one);
-    }
-    hist[t] = static_cast<std::size_t>(-_mm512_reduce_add_epi64(c0));
-  }
-  for (std::size_t q = 0; q < bpc; ++q) {
-    out[q] = static_cast<double>(hist[rank[q]]) * inv_n;
-  }
+  // fold(x, y) adds 128-bit lanes 0+1 and 2+3 of x and of y, so
+  // fold(d[0], d[1]) holds c[0..3] as sums over lanes 0-3 and 4-7, two
+  // counters per 128-bit lane; a second fold leaves one total per lane.
+  const auto fold = [&](__m512i x, __m512i y) {
+    return _mm512_add_epi64(_mm512_maskz_shuffle_i64x2(all, x, y, 0x88),
+                            _mm512_maskz_shuffle_i64x2(all, x, y, 0xdd));
+  };
+  return fold(fold(d[0], d[1]), fold(d[2], d[3]));
 }
 
-void ppv_pool_avx512(const double* conv, long long n, const double* pad_bias,
-                     const std::uint32_t* rank, std::size_t bpc,
-                     std::size_t steps, double inv_n, std::size_t* hist,
-                     double* out) {
-  // Same crossover as the AVX2 backend: degenerate huge bias counts
-  // favour the O(n log bpc) scalar search.  Identical exact integers
-  // either way.
-  if (bpc > 128) {
-    detail::scalar_ppv_pool(conv, n, pad_bias, rank, bpc, steps, inv_n,
-                            hist, out);
-    return;
+// One register block of conv_ppv: kB broadcast biases and kB packed
+// counters stay resident while each 8-element block of the response is
+// formed (-sum9 as a sign flip, then the three x3 taps in ascending
+// order) and compared against all of them.  _CMP_GT_OQ is false on NaN
+// like the scalar `>`, so the NaN lanes of the last block count nothing.
+template <int kB>
+void conv_ppv_group(const double* x3, const double* sum9, long long n,
+                    detail::TapShifts s, const double* bias,
+                    std::size_t* counts) {
+  const __m512d sign = _mm512_set1_pd(-0.0);
+  const __m512i one = _mm512_set1_epi64(1);
+  __m512d b[kB];
+  __m512i c[kB];
+  for (int k = 0; k < kB; ++k) {
+    b[k] = _mm512_set1_pd(bias[k]);
+    c[k] = _mm512_setzero_si512();
   }
-  avx512_ppv_count(conv, n, pad_bias, rank, bpc, inv_n, hist, out);
+  for (long long i = 0; i < n; i += 8) {
+    __m512d v = xor_pd_f(_mm512_loadu_pd(sum9 + i), sign);
+    v = _mm512_add_pd(v, _mm512_loadu_pd(x3 + i + s.a));
+    v = _mm512_add_pd(v, _mm512_loadu_pd(x3 + i + s.b));
+    v = _mm512_add_pd(v, _mm512_loadu_pd(x3 + i + s.c));
+    for (int k = 0; k < kB; ++k) {
+      c[k] = _mm512_mask_add_epi64(
+          c[k], _mm512_cmp_pd_mask(v, b[k], _CMP_GT_OQ), c[k], one);
+    }
+  }
+  _mm512_mask_storeu_epi64(counts, static_cast<__mmask8>((1u << kB) - 1u),
+                           sum_counters<kB>(c));
+}
+
+void conv_ppv_avx512(const double* x3, const double* sum9, long long n,
+                     int k0, int k1, int k2, long long d,
+                     const ComboBiases& biases, double inv_n,
+                     std::size_t* counts, double* out) {
+  const detail::TapShifts s = detail::conv_ppv_shifts(k0, k1, k2, d, n);
+  detail::for_each_bias_group(biases.count, [&](auto width, std::size_t t) {
+    conv_ppv_group<decltype(width)::value>(x3, sum9, n, s, biases.sorted + t,
+                                           counts + t);
+  });
+  detail::emit_ranked(counts, biases.rank, biases.count, inv_n, out);
 }
 
 double dot_avx512(const double* a, const double* b, std::size_t n) {
@@ -263,7 +245,7 @@ void axpy_avx512(double alpha, const double* x, double* y, std::size_t n) {
 const KernelTable& avx512_kernel_table() noexcept {
   static constexpr KernelTable kTable{
       Isa::kAvx512,        "avx512",         &nine_tap_sum_avx512,
-      &kernel_conv_avx512, &ppv_pool_avx512, &dot_avx512,
+      &kernel_conv_avx512, &conv_ppv_avx512, &dot_avx512,
       &axpy_avx512,
   };
   return kTable;

@@ -3,14 +3,15 @@
 // floating-point operation order of the bit-identity contract: the SIMD
 // TUs use these helpers for edge regions and vector-width tails, and the
 // scalar TU (plus the ISAs that do not accelerate a given kernel) uses
-// them wholesale.  Not installed API — include only from src/backend.
+// them wholesale.  The conv_ppv helpers (tap shifts, bias groups, ranked
+// emission) are plumbing every backend shares.  Not installed API —
+// include only from src/backend.
 #pragma once
 
 #include <algorithm>
-#include <array>
 #include <cstddef>
 #include <cstdint>
-#include <utility>
+#include <type_traits>
 
 #include "backend/policy.hpp"
 
@@ -94,81 +95,51 @@ inline void conv_interior(const double* x, const double* sum9, long long sa,
 }
 
 // ---------------------------------------------------------------------
-// Fused PPV pooling, scalar form.  One compile-time-width binary search
-// per element (the fixed trip count makes GCC lower every step to a
-// conditional move; a runtime-width loop is ~5x slower), a histogram
-// over the per-element ranks, and a suffix fold into exceedance counts.
-// Counts are integers, so features match any other evaluation order
-// bit-for-bit — including NaN (compares below every bias, lands in
-// bucket 0) and +/-inf.
+// Fused conv+PPV (conv_ppv) plumbing.
 // ---------------------------------------------------------------------
 
-template <int kSteps>
-inline std::size_t ppv_search(const double* pad_bias, double v) noexcept {
-  std::size_t j = 0;
-  for (int s = kSteps - 1; s >= 0; --s) {
-    const std::size_t w = std::size_t{1} << s;
-    j += (pad_bias[j + w - 1] < v) ? w : 0;
-  }
-  return j;  // +inf sentinels never compare < v, so j <= bpc always
+struct TapShifts {
+  long long a = 0, b = 0, c = 0;  // ascending: the kernel's +2 taps
+};
+
+// Shifts (k-4)*d of a kernel's three +2 taps, clamped to [-n, n].  A tap
+// shifted by n or more reads only zero padding either way, and the clamp
+// keeps every read inside the x3 buffer contract whatever the dilation (a
+// loaded model may carry dilations longer than the series).
+inline TapShifts conv_ppv_shifts(int k0, int k1, int k2, long long d,
+                                 long long n) noexcept {
+  const auto shift = [&](int k) {
+    return std::clamp(static_cast<long long>(k - 4) * d, -n, n);
+  };
+  return {shift(k0), shift(k1), shift(k2)};
 }
 
-// Converts the rank histogram into per-threshold exceedance counts in
-// place (count for sorted bias t = #elements with rank > t) and emits
-// the features in original quantile order.
-inline void ppv_fold_emit(std::size_t* hist, const std::uint32_t* rank,
-                          std::size_t bpc, double inv_n,
-                          double* out) noexcept {
-  std::size_t count_above = 0;
-  std::size_t carry = hist[bpc];
-  for (std::size_t t = bpc; t-- > 0;) {
-    count_above += carry;
-    carry = hist[t];
-    hist[t] = count_above;
+// Calls fn(std::integral_constant<int, kB>{}, t) for consecutive groups of
+// a combo's sorted biases starting at index t: full groups of eight, then
+// one group of the remaining 1-7.  The SIMD backends thus count every
+// bias count in register blocks whose width is a compile-time constant.
+template <typename Fn>
+inline void for_each_bias_group(std::size_t bpc, Fn&& fn) {
+  std::size_t t = 0;
+  for (; t + 8 <= bpc; t += 8) fn(std::integral_constant<int, 8>{}, t);
+  switch (bpc - t) {
+    case 1: fn(std::integral_constant<int, 1>{}, t); break;
+    case 2: fn(std::integral_constant<int, 2>{}, t); break;
+    case 3: fn(std::integral_constant<int, 3>{}, t); break;
+    case 4: fn(std::integral_constant<int, 4>{}, t); break;
+    case 5: fn(std::integral_constant<int, 5>{}, t); break;
+    case 6: fn(std::integral_constant<int, 6>{}, t); break;
+    case 7: fn(std::integral_constant<int, 7>{}, t); break;
+    default: break;
   }
+}
+
+// Emits per-sorted-bias counts in original quantile order.
+inline void emit_ranked(const std::size_t* counts, const std::uint32_t* rank,
+                        std::size_t bpc, double inv_n, double* out) noexcept {
   for (std::size_t q = 0; q < bpc; ++q) {
-    out[q] = static_cast<double>(hist[rank[q]]) * inv_n;
+    out[q] = static_cast<double>(counts[rank[q]]) * inv_n;
   }
-}
-
-template <int kSteps>
-inline void scalar_ppv_pool_steps(const double* conv, long long n,
-                                  const double* pad_bias,
-                                  const std::uint32_t* rank, std::size_t bpc,
-                                  double inv_n, std::size_t* hist,
-                                  double* out) {
-  std::fill(hist, hist + bpc + 1, std::size_t{0});
-  for (long long i = 0; i < n; ++i) {
-    ++hist[ppv_search<kSteps>(pad_bias, conv[i])];
-  }
-  ppv_fold_emit(hist, rank, bpc, inv_n, out);
-}
-
-// steps -> specialized scalar pooling kernel.  Index 0 is unused
-// (bpc >= 1 forces at least one step).
-using SteppedPoolFn = void (*)(const double*, long long, const double*,
-                               const std::uint32_t*, std::size_t, double,
-                               std::size_t*, double*);
-
-template <std::size_t... kSteps>
-constexpr std::array<SteppedPoolFn, sizeof...(kSteps)>
-make_scalar_pool_table(std::index_sequence<kSteps...>) {
-  return {(kSteps == 0
-               ? nullptr
-               : &scalar_ppv_pool_steps<kSteps == 0 ? 1 : kSteps>)...};
-}
-
-// Runtime-steps entry point of the scalar table, also the fallback of
-// the vector backends for huge bias counts (integer counts make reuse
-// bit-exact by definition).
-inline void scalar_ppv_pool(const double* conv, long long n,
-                            const double* pad_bias,
-                            const std::uint32_t* rank, std::size_t bpc,
-                            std::size_t steps, double inv_n,
-                            std::size_t* hist, double* out) {
-  static constexpr auto kTable = make_scalar_pool_table(
-      std::make_index_sequence<kMaxPpvSearchSteps + 1>{});
-  kTable[steps](conv, n, pad_bias, rank, bpc, inv_n, hist, out);
 }
 
 // ---------------------------------------------------------------------

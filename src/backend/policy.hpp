@@ -14,9 +14,9 @@
 //
 // Bit-identity contract: every table produces bit-identical results to
 // the scalar table (and hence to `ml::minirocket::reference`) under
-// exact double comparison.  The convolution kernels keep the reference's
-// per-element floating-point operation order and never contract
-// multiply-adds; PPV pooling produces integer counts; the dot product
+// exact double comparison.  The stored convolution kernels keep the
+// reference's per-element floating-point operation order and never
+// contract multiply-adds; conv_ppv produces integer counts; the dot product
 // follows a fixed width-4 stripe accumulation order that every backend —
 // scalar included — implements identically.  The differential test
 // suites enforce this for every table compiled into the binary.
@@ -45,16 +45,45 @@ using KernelConvFn = void (*)(const double* x, long long n,
                               const double* sum9, int k0, int k1, int k2,
                               long long d, double* conv);
 
-// Fused PPV pooling for one combo: one `steps`-step branch-free binary
-// search per element over the +inf-padded ascending biases, a histogram
-// over the per-element ranks, and a suffix fold into per-threshold
-// exceedance counts (exact integers, so features are order-independent).
-// `pad_bias` has 2^steps - 1 slots; `hist` holds bpc + 1; `out` receives
-// bpc features in original quantile order via `rank`.
-using PpvPoolFn = void (*)(const double* conv, long long n,
-                           const double* pad_bias, const std::uint32_t* rank,
-                           std::size_t bpc, std::size_t steps, double inv_n,
-                           std::size_t* hist, double* out);
+// One combo's biases as conv_ppv reads them, indexed once per model by
+// MiniRocket: `sorted` holds them ascending, padded with +inf sentinels
+// to 2^steps - 1 slots (the scalar backend's fixed-step binary search),
+// and rank[q] is the sorted position of original quantile q.
+struct ComboBiases {
+  const double* sorted = nullptr;
+  const std::uint32_t* rank = nullptr;
+  std::size_t count = 0;  // biases per combo
+  std::size_t steps = 0;  // 2^steps - 1 >= count
+};
+
+// Fused kernel completion and PPV pooling for one combo.  Each element's
+// response v = -sum9[i] + x3[i+sa] + x3[i+sb] + x3[i+sc] (sa < sb < sc the
+// shifts (k-4)*d of the kernel's +2 taps; x3 = 3.0*x) is formed in
+// registers and counted against every bias; the response is never
+// stored.  out[q] = (#i with v > bias q) * inv_n in original quantile
+// order; `counts` is scratch for biases.count + 1 tallies.
+//
+// Buffer contract: x3 points at element 0 of a buffer that is readable
+// and holds 0.0 on [-n, 0) and [n, 2n + kConvPpvSlack), and sum9 holds NaN
+// on [n, n + kConvPpvSlack).  Out-of-range taps therefore add 0.0 where
+// the reference skips them.  That can only turn a -0.0 response into
+// +0.0, which no `>` compare can tell apart, so the counts (exact
+// integers) and the features equal the reference's bit for bit.  A
+// vector block may run past n: those lanes' responses are NaN, which
+// compares false against every bias and is never counted.
+using ConvPpvFn = void (*)(const double* x3, const double* sum9, long long n,
+                           int k0, int k1, int k2, long long d,
+                           const ComboBiases& biases, double inv_n,
+                           std::size_t* counts, double* out);
+
+// Slack past n that conv_ppv reads in sum9 and (past 2n) in x3: one
+// vector of the widest backend.
+inline constexpr std::size_t kConvPpvSlack = 8;
+
+// Widest supported binary search in the scalar conv_ppv (20 steps cover
+// over a million biases per combo, three orders of magnitude beyond any
+// realistic feature budget).
+inline constexpr std::size_t kMaxPpvSearchSteps = 20;
 
 // Width-4 striped dot product: four independent accumulators over
 // 4-element blocks (acc_l += a[i+l]*b[i+l], multiply then add, never
@@ -72,15 +101,10 @@ struct KernelTable {
   const char* name = "scalar";  // == isa_name(isa)
   NineTapSumFn nine_tap_sum = nullptr;
   KernelConvFn kernel_conv = nullptr;
-  PpvPoolFn ppv_pool = nullptr;
+  ConvPpvFn conv_ppv = nullptr;
   DotFn dot = nullptr;
   AxpyFn axpy = nullptr;
 };
-
-// Widest supported number of binary-search steps in ppv_pool (the bias
-// pad stride is 2^steps - 1; 20 steps cover over a million quantiles per
-// combo, three orders of magnitude beyond any realistic budget).
-inline constexpr std::size_t kMaxPpvSearchSteps = 20;
 
 // The active kernel table: force_isa() override if set, else the cached
 // P2AUTH_BACKEND resolution.  First use may throw BackendError (unknown

@@ -203,49 +203,59 @@ Series dilated_convolution(std::span<const double> x,
   if (dilation < 1) {
     throw std::invalid_argument("dilated_convolution: dilation >= 1");
   }
-  const Series sum9 = reference::nine_tap_sum(x, dilation);
-  const auto n = static_cast<long long>(x.size());
-  Series out(x.size(), 0.0);
-  for (std::size_t i = 0; i < x.size(); ++i) out[i] = -sum9[i];
-  for (const int j : kernel) {
-    const long long shift = static_cast<long long>(j - 4) * dilation;
-    const long long lo = std::max<long long>(0, -shift);
-    const long long hi = std::min(n, n - shift);
-    for (long long i = lo; i < hi; ++i) {
-      out[static_cast<std::size_t>(i)] +=
-          3.0 * x[static_cast<std::size_t>(i + shift)];
-    }
-  }
+  Series out;
+  reference::kernel_from_sum(x, reference::nine_tap_sum(x, dilation), kernel,
+                             dilation, out);
   return out;
 }
 
 // ---------------------------------------------------------------------------
 // Fast path.
 //
-// The hot kernels (nine-tap sliding sum, kernel completion, fused PPV
-// pooling) live in src/backend as per-ISA translation units; this file
-// only drives them through the runtime-dispatched KernelTable.  Loop
-// structure: per (series, dilation) tile, the nine-tap sliding sum is
-// computed once into scratch, then each of the 84 kernels completes its
-// response into one reused buffer and pooling runs as a contiguous scan.
+// The hot kernels (nine-tap sliding sum, kernel completion, fused
+// conv+PPV) live in src/backend as per-ISA translation units; this file
+// only drives them through the runtime-dispatched KernelTable.  Per
+// (series, dilation) tile, the nine-tap sliding sum is computed once into
+// scratch, then conv_ppv completes and pools each of the 84 kernels in
+// registers (max pooling stores each response through kernel_conv).
 // Nothing is heap-allocated once the scratch is warm.  Every backend
-// keeps the reference path's per-element accumulation order, so outputs
-// are bit-identical to `reference::transform` on every ISA.
+// produces the reference path's counts, so outputs are bit-identical to
+// `reference::transform` on every ISA.
 // ---------------------------------------------------------------------------
+
+namespace {
+
+// Lays a series out as backend::ConvPpvFn reads it: the reference's
+// `3.0 * x[i]` terms in zero padding, and NaN in sum9's slack (which
+// nine_tap_sum never writes).  Returns the pointer to x3's element 0.
+const double* prepare_series(const double* x, std::size_t n,
+                             TransformScratch& scratch) {
+  double* const x3 = scratch.x3.data() + n;
+  std::fill(scratch.x3.data(), x3, 0.0);
+  for (std::size_t i = 0; i < n; ++i) x3[i] = 3.0 * x[i];
+  std::fill(x3 + n, x3 + 2 * n + backend::kConvPpvSlack, 0.0);
+  std::fill(scratch.sum9.data() + n,
+            scratch.sum9.data() + n + backend::kConvPpvSlack,
+            std::numeric_limits<double>::quiet_NaN());
+  return x3;
+}
+
+}  // namespace
 
 void TransformScratch::reserve(std::size_t input_length,
                                std::size_t biases_per_combo) {
   // Grow-only: buffers keep their high-water size, so a warm scratch
   // never reallocates and the gauge below only fires on growth.
   bool grew = false;
-  if (sum9.size() < input_length) {
-    sum9.resize(input_length);
+  if (conv.size() < input_length) {
+    x3.resize(3 * input_length + backend::kConvPpvSlack);
+    sum9.resize(input_length + backend::kConvPpvSlack);
     conv.resize(input_length);
     sorted.resize(input_length);
     grew = true;
   }
-  // +1: the counting histogram has one bucket per "number of sorted
-  // biases below the element" outcome, which ranges 0..biases_per_combo.
+  // +1: the scalar conv_ppv histogram has one bucket per "number of
+  // sorted biases below the element" outcome, 0..biases_per_combo.
   if (counts.size() < biases_per_combo + 1) {
     counts.resize(biases_per_combo + 1);
     grew = true;
@@ -254,7 +264,8 @@ void TransformScratch::reserve(std::size_t input_length,
 }
 
 std::size_t TransformScratch::bytes() const noexcept {
-  return (sum9.capacity() + conv.capacity() + sorted.capacity()) *
+  return (x3.capacity() + sum9.capacity() + conv.capacity() +
+          sorted.capacity()) *
              sizeof(double) +
          counts.capacity() * sizeof(std::size_t);
 }
@@ -359,14 +370,14 @@ void MiniRocket::build_bias_index() {
     bias_pad_stride_ = 0;
     return;
   }
-  // Pad every combo to 2^steps - 1 slots so ppv_pool_steps<steps> can run
-  // a fixed number of search steps; +inf sentinels never compare < any
+  // Pad every combo to 2^steps - 1 slots so the scalar conv_ppv can run a
+  // fixed number of search steps; +inf sentinels never compare < any
   // probe, so they are invisible to the counts.
   bias_search_steps_ = 1;
   while (((std::size_t{1} << bias_search_steps_) - 1) < biases_per_combo_) {
     ++bias_search_steps_;
   }
-  // The backend pooling kernels dispatch on the step count; a wider
+  // The scalar conv_ppv dispatches on the step count; a wider
   // search could only come from an absurd feature budget or a corrupted
   // model stream, and silently indexing past the dispatch range in the
   // backend would be an out-of-bounds read.
@@ -403,6 +414,39 @@ std::size_t MiniRocket::num_features() const noexcept {
   return biases_.size();
 }
 
+void MiniRocket::transform_tile(const double* x, const double* x3,
+                                std::size_t di,
+                                const backend::KernelTable& kt,
+                                TransformScratch& scratch,
+                                double* row) const {
+  const auto n = static_cast<long long>(input_length_);
+  const long long d = dilations_[di];
+  const std::size_t num_dilations = dilations_.size();
+  const auto& kernels = minirocket_kernels();
+  const double inv_n = 1.0 / static_cast<double>(input_length_);
+  kt.nine_tap_sum(x, n, d, scratch.sum9.data());
+  for (std::size_t ki = 0; ki < kernels.size(); ++ki) {
+    const std::array<int, 3>& k = kernels[ki];
+    const std::size_t combo = ki * num_dilations + di;
+    if (options_.pooling == Pooling::kMax) {
+      kt.kernel_conv(x, n, scratch.sum9.data(), k[0], k[1], k[2], d,
+                     scratch.conv.data());
+      const double* conv = scratch.conv.data();
+      double peak = conv[0];
+      for (long long i = 1; i < n; ++i) peak = std::max(peak, conv[i]);
+      row[combo] = peak;
+      continue;
+    }
+    const backend::ComboBiases biases{
+        sorted_biases_.data() + combo * bias_pad_stride_,
+        bias_rank_.data() + combo * biases_per_combo_, biases_per_combo_,
+        bias_search_steps_};
+    kt.conv_ppv(x3, scratch.sum9.data(), n, k[0], k[1], k[2], d, biases,
+                inv_n, scratch.counts.data(),
+                row + combo * biases_per_combo_);
+  }
+}
+
 void MiniRocket::transform_into(std::span<const double> x,
                                 std::span<double> out,
                                 TransformScratch& scratch) const {
@@ -415,36 +459,9 @@ void MiniRocket::transform_into(std::span<const double> x,
   }
   scratch.reserve(input_length_, biases_per_combo_);
   const backend::KernelTable& kt = backend::kernels();
-  const auto n = static_cast<long long>(x.size());
-  const std::size_t num_dilations = dilations_.size();
-  const auto& kernels = minirocket_kernels();
-  const double inv_n = 1.0 / static_cast<double>(x.size());
-  for (std::size_t di = 0; di < num_dilations; ++di) {
-    kt.nine_tap_sum(x.data(), n, dilations_[di], scratch.sum9.data());
-    if (options_.pooling == Pooling::kMax) {
-      for (std::size_t ki = 0; ki < kernels.size(); ++ki) {
-        const std::array<int, 3>& k = kernels[ki];
-        kt.kernel_conv(x.data(), n, scratch.sum9.data(), k[0], k[1], k[2],
-                       dilations_[di], scratch.conv.data());
-        const double* conv = scratch.conv.data();
-        double peak = conv[0];
-        for (long long i = 1; i < n; ++i) peak = std::max(peak, conv[i]);
-        out[ki * num_dilations + di] = peak;
-      }
-      continue;
-    }
-    for (std::size_t ki = 0; ki < kernels.size(); ++ki) {
-      const std::array<int, 3>& k = kernels[ki];
-      kt.kernel_conv(x.data(), n, scratch.sum9.data(), k[0], k[1], k[2],
-                     dilations_[di], scratch.conv.data());
-      const std::size_t combo = ki * num_dilations + di;
-      kt.ppv_pool(scratch.conv.data(), n,
-                  sorted_biases_.data() + combo * bias_pad_stride_,
-                  bias_rank_.data() + combo * biases_per_combo_,
-                  biases_per_combo_, bias_search_steps_, inv_n,
-                  scratch.counts.data(),
-                  out.data() + combo * biases_per_combo_);
-    }
+  const double* x3 = prepare_series(x.data(), x.size(), scratch);
+  for (std::size_t di = 0; di < dilations_.size(); ++di) {
+    transform_tile(x.data(), x3, di, kt, scratch, out.data());
   }
 }
 
@@ -472,43 +489,20 @@ void MiniRocket::transform_batch_into(std::span<const Series* const> batch,
   // count.  Per-thread scratch stays warm across tiles and batches
   // (pool workers persist), giving the allocation-free steady state.
   const std::size_t num_dilations = dilations_.size();
-  const std::size_t tiles = batch.size() * num_dilations;
-  const auto n = static_cast<long long>(input_length_);
-  const auto& kernels = minirocket_kernels();
-  const double inv_n = 1.0 / static_cast<double>(input_length_);
   // Resolve the dispatch once; every worker tile uses the same table even
   // if force_isa() flips concurrently.
   const backend::KernelTable& kt = backend::kernels();
   try {
     util::parallel_for(
-        tiles, /*chunk=*/1,
+        batch.size() * num_dilations, /*chunk=*/1,
         [&](std::size_t t) {
           const std::size_t s = t / num_dilations;
-          const std::size_t di = t % num_dilations;
           const double* x = batch[s]->data();
-          double* row = out + s * row_stride;
           TransformScratch& scratch = thread_transform_scratch();
           scratch.reserve(input_length_, biases_per_combo_);
-          kt.nine_tap_sum(x, n, dilations_[di], scratch.sum9.data());
-          for (std::size_t ki = 0; ki < kernels.size(); ++ki) {
-            const std::array<int, 3>& k = kernels[ki];
-            kt.kernel_conv(x, n, scratch.sum9.data(), k[0], k[1], k[2],
-                           dilations_[di], scratch.conv.data());
-            const double* conv = scratch.conv.data();
-            const std::size_t combo = ki * num_dilations + di;
-            if (options_.pooling == Pooling::kMax) {
-              double peak = conv[0];
-              for (long long i = 1; i < n; ++i) peak = std::max(peak, conv[i]);
-              row[combo] = peak;
-              continue;
-            }
-            kt.ppv_pool(conv, n,
-                        sorted_biases_.data() + combo * bias_pad_stride_,
-                        bias_rank_.data() + combo * biases_per_combo_,
-                        biases_per_combo_, bias_search_steps_, inv_n,
-                        scratch.counts.data(),
-                        row + combo * biases_per_combo_);
-          }
+          transform_tile(x, prepare_series(x, input_length_, scratch),
+                         t % num_dilations, kt, scratch,
+                         out + s * row_stride);
         },
         max_threads);
   } catch (const util::ParallelForError& e) {

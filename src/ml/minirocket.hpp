@@ -17,12 +17,15 @@
 // Two implementations coexist:
 //
 //   * The fast path — an allocation-free, cache-blocked batch engine.
-//     All working memory lives in a reusable `TransformScratch`; the
-//     inner loops are shift-partitioned (guarded edges, branch-free
-//     interior) so they auto-vectorize, and pooling is fused into the
-//     convolution completion so no per-kernel response is materialized
-//     beyond one reused buffer.  `transform_batch` tiles
-//     (series x dilation) blocks across `util::parallel_for`.
+//     All working memory lives in a reusable `TransformScratch`.  Per
+//     (series x dilation) tile the nine-tap sum is computed once; then
+//     the backend's fused `conv_ppv` kernel completes each kernel's
+//     response one vector block at a time in registers (from a 3.0*x
+//     series computed once per series) and counts it against all of the
+//     combo's biases, so a PPV response is never stored.  Max pooling
+//     stores one response at a time in a reused buffer.
+//     `transform_batch` tiles (series x dilation) blocks across
+//     `util::parallel_for`.
 //   * `minirocket::reference` — the original straightforward scalar
 //     implementation, kept compiled-in as the oracle.  The fast path
 //     must agree with it bit-for-bit (same floating-point operation
@@ -37,6 +40,10 @@
 
 #include "linalg/matrix.hpp"
 #include "util/rng.hpp"
+
+namespace p2auth::backend {
+struct KernelTable;
+}  // namespace p2auth::backend
 
 namespace p2auth::ml {
 
@@ -76,10 +83,11 @@ Series dilated_convolution(std::span<const double> x,
 // `thread_transform_scratch()` for a per-thread instance that stays warm
 // across calls.
 struct TransformScratch {
-  Series sum9;    // shared nine-tap sliding sum for one dilation
-  Series conv;    // one kernel's convolution response
+  Series x3;      // 3.0 * series, zero-padded for backend::ConvPpvFn
+  Series sum9;    // nine-tap sliding sum for one dilation (+ NaN slack)
+  Series conv;    // one stored kernel response (fit quantiles, max pooling)
   Series sorted;  // fit-time sorted-quantile workspace
-  std::vector<std::size_t> counts;  // fused PPV tallies (one per quantile)
+  std::vector<std::size_t> counts;  // conv_ppv tallies (one per quantile)
 
   // Grows the buffers to serve series of `input_length` with
   // `biases_per_combo` quantiles; no-op (and allocation-free) when they
@@ -153,7 +161,7 @@ class MiniRocket {
   // already-parsed parts — the entry point of the model-store reader in
   // src/io/.  Validates the shape invariants (dilation positivity, finite
   // biases, kernel-count consistency) and throws util::SerializeError on
-  // any inconsistency; on success rebuilds the derived PPV search index
+  // any inconsistency; on success rebuilds the derived PPV counting index
   // exactly as fit does.
   static MiniRocket from_parts(MiniRocketOptions options,
                                std::size_t input_length,
@@ -162,11 +170,20 @@ class MiniRocket {
                                std::vector<double> biases);
 
  private:
-  // Derived PPV counting index (not stored; rebuilt by fit/from_parts).
-  // The fast path counts "conv[i] > bias_q" for all quantiles of a combo
-  // in one binary-search pass per element over the combo's *sorted*
-  // biases — O(n log q) instead of the scan's O(n q) — then maps the
-  // per-sorted-position counts back through `bias_rank_`.  Counts are
+  // One (series, dilation) tile of the fast path, shared by
+  // transform_into and transform_batch_into: writes every combo of
+  // dilation index `di` into `row`, the series' feature row.  `x3` is the
+  // series as prepared for backend::ConvPpvFn.
+  void transform_tile(const double* x, const double* x3, std::size_t di,
+                      const backend::KernelTable& kt,
+                      TransformScratch& scratch, double* row) const;
+
+  // Derived PPV counting index (not stored; rebuilt by fit/from_parts),
+  // handed to backend::ConvPpvFn as one ComboBiases per combo.  The SIMD
+  // backends count each response against the combo's *sorted* biases in
+  // register blocks; the scalar backend ranks it by binary search,
+  // O(n log q) instead of the scan's O(n q).  Either way the
+  // per-sorted-position counts map back through `bias_rank_`; counts are
   // exact integers, so the features stay bit-identical to the scan.
   //
   // Each combo's sorted biases are padded to a power-of-two-minus-one

@@ -9,7 +9,6 @@
 
 #include <stdexcept>
 #include <string>
-#include <string_view>
 
 namespace p2auth::util {
 
@@ -27,9 +26,6 @@ enum class SerializeErrc {
   kBadAlignment,    // section violates the 8-byte layout contract
   kIoError,         // underlying file open/read/write/map failure
 };
-
-// Human-readable slug for an error code ("truncated", "bad-crc", ...).
-std::string_view serialize_errc_slug(SerializeErrc code) noexcept;
 
 // Typed error thrown by every model (de)serialization path.  Derives
 // from std::runtime_error so pre-existing catch sites keep working.

@@ -296,6 +296,108 @@ TEST(MiniRocketDifferential, NonFiniteInputsAgreeWithReference) {
   }
 }
 
+// Series that stress conv_ppv: random values with NaN, +/-inf and -0.0
+// planted at both edges and in the interior, an all -0.0 series (every
+// response is a signed zero) and an all +0.0 one.
+std::vector<Series> hostile_series(std::size_t n, util::Rng& rng) {
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  std::vector<Series> out;
+  for (std::size_t c = 0; c < 3; ++c) out.push_back(random_series(n, rng));
+  Series planted = random_series(n, rng);
+  planted[0] = kNan;
+  planted[1] = -0.0;
+  planted[n / 3] = kInf;
+  planted[n / 2] = -kInf;
+  planted[n / 2 + 1] = -0.0;
+  planted[n - 2] = -kInf;
+  planted[n - 1] = kNan;
+  out.push_back(planted);
+  Series signed_zeros = random_series(n, rng);
+  for (std::size_t i = 0; i < n; i += 2) signed_zeros[i] = -0.0;
+  out.push_back(signed_zeros);
+  out.push_back(Series(n, -0.0));
+  out.push_back(Series(n, 0.0));
+  return out;
+}
+
+// Serial and batch fast paths against the reference on every available
+// backend.  PPV features are proportions, never NaN, so == is the whole
+// contract even for non-finite inputs.
+void expect_every_backend_matches_reference(const MiniRocket& model,
+                                            const std::vector<Series>& xs,
+                                            const std::string& context) {
+  linalg::Matrix ref(xs.size(), model.num_features());
+  for (std::size_t r = 0; r < xs.size(); ++r) {
+    const linalg::Vector f = reference::transform(model, xs[r]);
+    std::copy(f.begin(), f.end(), ref.row(r).begin());
+  }
+  for (const backend::Isa isa : backend::available_isas()) {
+    ForcedBackend forced(isa);
+    const std::string where =
+        context + " backend=" + backend::isa_name(isa) + " ";
+    for (std::size_t r = 0; r < xs.size(); ++r) {
+      expect_bit_identical(model.transform(xs[r]), ref.row(r),
+                           where + "serial row=" + std::to_string(r));
+    }
+    const linalg::Matrix batch = model.transform_batch(xs, 2);
+    for (std::size_t r = 0; r < xs.size(); ++r) {
+      expect_bit_identical(batch.row(r), ref.row(r),
+                           where + "batch row=" + std::to_string(r));
+    }
+  }
+}
+
+// The shapes the authenticator runs: MultiChannelMiniRocket splits the
+// paper's 9996-feature budget over 4 channels (2499 each), which gives 5
+// biases per combo on the 600-sample full waveform (7 dilations) and 8
+// on the 90-sample segment and boost windows (4 dilations).
+TEST(MiniRocketDifferential, ProductionShapesBitIdenticalOnEveryBackend) {
+  struct Shape {
+    std::size_t length;
+    std::size_t biases_per_combo;
+  };
+  for (const Shape shape : {Shape{600, 5}, Shape{90, 8}}) {
+    const MiniRocket model =
+        fitted_model(shape.length, Pooling::kPpv, 0x9e0d + shape.length, 2499);
+    ASSERT_EQ(model.biases_per_combo(), shape.biases_per_combo);
+    util::Rng rng(0x9e0dca5eULL + shape.length, 0x66ULL);
+    expect_every_backend_matches_reference(
+        model, hostile_series(shape.length, rng),
+        "len=" + std::to_string(shape.length));
+  }
+}
+
+// Every compile-time bias-group width (1-8), a count one past a full
+// group (9) and one spanning two full groups plus a remainder (19).  A
+// 50-sample series has 3 dilations, so bpc * 252 features give exactly
+// bpc biases per combo.  A second model per count rebuilds the same
+// biases with signed zeros and a subnormal planted among them, so the
+// all-zero series compare against +/-0.0 thresholds.
+TEST(MiniRocketDifferential, EveryBiasGroupWidthBitIdenticalOnEveryBackend) {
+  constexpr std::size_t kLength = 50;
+  for (const std::size_t bpc : {1, 2, 3, 4, 5, 6, 7, 8, 9, 19}) {
+    const MiniRocket fitted =
+        fitted_model(kLength, Pooling::kPpv, 0xb1a5 + bpc, bpc * 252);
+    ASSERT_EQ(fitted.biases_per_combo(), bpc);
+    std::vector<double> biases(fitted.biases().begin(),
+                               fitted.biases().end());
+    constexpr double kPlanted[] = {0.0, -0.0,
+                                   std::numeric_limits<double>::denorm_min()};
+    for (std::size_t i = 0; i < biases.size(); i += 3) {
+      biases[i] = kPlanted[(i / 3) % 3];
+    }
+    const MiniRocket zeros = MiniRocket::from_parts(
+        fitted.options(), kLength, fitted.dilations(), bpc, std::move(biases));
+    util::Rng rng(0xb1a5da7aULL + bpc, 0x77ULL);
+    const std::vector<Series> xs = hostile_series(kLength, rng);
+    expect_every_backend_matches_reference(
+        fitted, xs, "fitted bpc=" + std::to_string(bpc));
+    expect_every_backend_matches_reference(
+        zeros, xs, "signed-zero biases bpc=" + std::to_string(bpc));
+  }
+}
+
 // The zero-allocation claim: once the thread scratch and output buffer
 // are warm, transform_into performs no heap allocation at all.
 TEST(MiniRocketDifferential, WarmTransformIntoDoesNotAllocate) {
@@ -307,6 +409,10 @@ TEST(MiniRocketDifferential, WarmTransformIntoDoesNotAllocate) {
     TransformScratch scratch;
     model.transform_into(x, out, scratch);  // warm-up: buffers grow here
     const linalg::Vector warm_result = out;
+    // The 3*x buffer is sized for the conv_ppv contract: n zeros, the
+    // series, then n + slack zeros.
+    ASSERT_GE(scratch.x3.size(), 3 * x.size() + backend::kConvPpvSlack);
+    const double* const x3_data = scratch.x3.data();
     {
       const AllocationGuard guard;
       for (int repeat = 0; repeat < 10; ++repeat) {
@@ -315,7 +421,26 @@ TEST(MiniRocketDifferential, WarmTransformIntoDoesNotAllocate) {
       EXPECT_EQ(guard.count(), 0u)
           << "steady-state transform_into allocated";
     }
+    EXPECT_EQ(scratch.x3.data(), x3_data) << "x3 buffer moved";
     expect_bit_identical(out, warm_result, "warm repeat");
+
+    // A shorter series (with fewer biases per combo) reuses the grown
+    // buffers without allocating, and the stale tail of the longer
+    // series must not leak into its padding.
+    const MiniRocket short_model =
+        fitted_model(40, pooling, 0xa110dULL, /*num_features=*/504);
+    ASSERT_LE(short_model.biases_per_combo(), model.biases_per_combo());
+    const Series short_x = random_series(40, rng);
+    linalg::Vector short_out(short_model.num_features(), 0.0);
+    {
+      const AllocationGuard guard;
+      short_model.transform_into(short_x, short_out, scratch);
+      EXPECT_EQ(guard.count(), 0u) << "shorter series allocated";
+    }
+    EXPECT_EQ(scratch.x3.data(), x3_data) << "x3 buffer moved";
+    expect_bit_identical(short_out,
+                         reference::transform(short_model, short_x),
+                         "shorter series after longer");
   }
 }
 

@@ -6,6 +6,8 @@
 #include <cmath>
 #include <limits>
 #include <sstream>
+#include <string>
+#include <utility>
 
 #include "io/binary.hpp"
 #include "sim/dataset.hpp"
@@ -205,7 +207,9 @@ TEST(Registry, ScoreOrderIsStrictWeakOrderingWithNaNs) {
   std::vector<std::pair<std::string, double>> scores;
   for (int i = 0; i < 64; ++i) {
     const int mode = i % 4;
-    scores.emplace_back("u" + std::to_string(i),
+    std::string name = "u";
+    name += std::to_string(i);
+    scores.emplace_back(std::move(name),
                         mode == 0 ? nan : (1.0 - 0.1 * (i % 7)));
   }
   std::sort(scores.begin(), scores.end(), detail::score_order);
