@@ -4,7 +4,7 @@
 //
 // `--quick` skips google-benchmark and instead measures MiniRocket
 // transform throughput (reference serial loop vs fast single-series vs
-// tiled batch engine), writing BENCH_primitives.json for the CI perf
+// the per-series batch fan-out), writing BENCH_primitives.json for the CI perf
 // gate (tools/check_bench_regression.py compares the speedup ratios
 // against bench/baselines/primitives_baseline.json), plus per-backend
 // timings at the scoring-window and full-waveform shapes (ungated).
@@ -128,7 +128,8 @@ BENCHMARK(BM_RidgeFit);
 //   reference — ml::reference::transform in a serial per-series loop,
 //               i.e. the pre-fast-path behaviour;
 //   serial    — the fast single-series path, one series at a time;
-//   batch     — transform_batch at 8 requested threads.
+//   batch     — transform_batch at 8 requested threads (one task per
+//               series).
 // The JSON reports per-transform times plus two dimensionless ratios the
 // regression gate actually compares (ratios survive machine changes;
 // absolute microseconds do not):

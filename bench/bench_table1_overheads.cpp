@@ -84,8 +84,8 @@ int main() {
   const double rocket_auth_s = bench::timed_s([&] {
     for (const auto& p : probes) rocket_accepts += rocket_model.accept(p);
   }) / probes.size();
-  // Same probes through the tiled MiniRocket batch engine (decisions are
-  // bit-identical to the serial loop); the ratio is the deployment-side
+  // Same probes through WaveformModel::decisions, one task per probe
+  // (decisions are bit-identical to the serial loop); the ratio is the deployment-side
   // win when authentication requests queue up.
   const double rocket_auth_batch_s = bench::timed_s([&] {
     (void)rocket_model.decisions(probes, 8);

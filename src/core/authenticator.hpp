@@ -94,14 +94,13 @@ AuthResult authenticate(const EnrolledUser& user,
 // ---------------------------------------------------------------------------
 // Two-phase decision pipeline.
 //
-// `authenticate` is prepare -> score -> finish fused into one call.  The
-// phases are exposed so a request-level front end (src/service/) can run
-// the cheap per-request phases independently and batch the expensive
-// middle one: scoring units of *concurrent* attempts that target the
-// same model are pushed through one `WaveformModel::decisions` batch
-// (one `transform_batch` per model), which is bit-identical to the
-// per-waveform path — so a batched service decision equals a serial
-// `authenticate` replay of the same request, bit for bit.
+// `authenticate` is prepare -> score -> finish in one call: it scores
+// each planned unit with `WaveformModel::decision` through the thread's
+// `TransformScratch`.  The phases are exposed so a caller can time or
+// drive them separately (the repository benchmark times prepare, each
+// unit's transform and ridge score, and finish); feeding the units'
+// `decision` values to `finish_authentication` reproduces `authenticate`
+// bit for bit.
 
 // One deferred biometric scoring job: `waveform` is to be scored by
 // `model`; the signed decision value is handed back to
@@ -153,8 +152,9 @@ PreparedAuth prepare_authentication(const EnrolledUser& user,
 AuthResult finish_authentication(PreparedAuth prepared,
                                  std::span<const double> decisions);
 
-// Outcome bookkeeping shared by `authenticate` and the batched service
-// path: obs decision counters plus the decision flight recorder.
+// Outcome bookkeeping shared by `authenticate` and the service's
+// malformed-observation path: obs decision counters plus the decision
+// flight recorder.
 void commit_decision(std::uint32_t user_id, const AuthResult& result);
 
 // Submits one decided attempt to the installed decision flight recorder

@@ -144,10 +144,13 @@ linalg::Vector WaveformModel::decisions(
     const std::vector<std::vector<Series>>& batch,
     std::size_t max_threads) const {
   if (!trained()) throw std::logic_error("WaveformModel: not trained");
-  const linalg::Matrix features = rocket_.transform(batch, max_threads);
   linalg::Vector out(batch.size(), 0.0);
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    out[i] = ridge_.decision(features.row(i)) - threshold_;
+  try {
+    util::parallel_for(
+        batch.size(), /*chunk=*/1,
+        [&](std::size_t i) { out[i] = decision(batch[i]); }, max_threads);
+  } catch (const util::ParallelForError& e) {
+    e.rethrow_cause();
   }
   return out;
 }

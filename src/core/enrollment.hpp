@@ -67,8 +67,9 @@ class WaveformModel {
   bool accept(const std::vector<Series>& waveform,
               ml::TransformScratch& scratch, linalg::Vector& features) const;
 
-  // Scores a batch through the tiled MiniRocket batch engine; decisions
-  // are bit-identical to per-waveform `decision` for any thread count.
+  // Scores a batch as one `decision` task per waveform on the shared
+  // thread pool; bit-identical to per-waveform `decision` for any thread
+  // count.
   linalg::Vector decisions(const std::vector<std::vector<Series>>& batch,
                            std::size_t max_threads = 0) const;
 

@@ -215,7 +215,7 @@ Series dilated_convolution(std::span<const double> x,
 // The hot kernels (nine-tap sliding sum, kernel completion, fused
 // conv+PPV) live in src/backend as per-ISA translation units; this file
 // only drives them through the runtime-dispatched KernelTable.  Per
-// (series, dilation) tile, the nine-tap sliding sum is computed once into
+// (series, dilation), the nine-tap sliding sum is computed once into
 // scratch, then conv_ppv completes and pools each of the 84 kernels in
 // registers (max pooling stores each response through kernel_conv).
 // Nothing is heap-allocated once the scratch is warm.  Every backend
@@ -414,39 +414,6 @@ std::size_t MiniRocket::num_features() const noexcept {
   return biases_.size();
 }
 
-void MiniRocket::transform_tile(const double* x, const double* x3,
-                                std::size_t di,
-                                const backend::KernelTable& kt,
-                                TransformScratch& scratch,
-                                double* row) const {
-  const auto n = static_cast<long long>(input_length_);
-  const long long d = dilations_[di];
-  const std::size_t num_dilations = dilations_.size();
-  const auto& kernels = minirocket_kernels();
-  const double inv_n = 1.0 / static_cast<double>(input_length_);
-  kt.nine_tap_sum(x, n, d, scratch.sum9.data());
-  for (std::size_t ki = 0; ki < kernels.size(); ++ki) {
-    const std::array<int, 3>& k = kernels[ki];
-    const std::size_t combo = ki * num_dilations + di;
-    if (options_.pooling == Pooling::kMax) {
-      kt.kernel_conv(x, n, scratch.sum9.data(), k[0], k[1], k[2], d,
-                     scratch.conv.data());
-      const double* conv = scratch.conv.data();
-      double peak = conv[0];
-      for (long long i = 1; i < n; ++i) peak = std::max(peak, conv[i]);
-      row[combo] = peak;
-      continue;
-    }
-    const backend::ComboBiases biases{
-        sorted_biases_.data() + combo * bias_pad_stride_,
-        bias_rank_.data() + combo * biases_per_combo_, biases_per_combo_,
-        bias_search_steps_};
-    kt.conv_ppv(x3, scratch.sum9.data(), n, k[0], k[1], k[2], d, biases,
-                inv_n, scratch.counts.data(),
-                row + combo * biases_per_combo_);
-  }
-}
-
 void MiniRocket::transform_into(std::span<const double> x,
                                 std::span<double> out,
                                 TransformScratch& scratch) const {
@@ -459,9 +426,35 @@ void MiniRocket::transform_into(std::span<const double> x,
   }
   scratch.reserve(input_length_, biases_per_combo_);
   const backend::KernelTable& kt = backend::kernels();
-  const double* x3 = prepare_series(x.data(), x.size(), scratch);
-  for (std::size_t di = 0; di < dilations_.size(); ++di) {
-    transform_tile(x.data(), x3, di, kt, scratch, out.data());
+  const auto n = static_cast<long long>(input_length_);
+  const std::size_t num_dilations = dilations_.size();
+  const auto& kernels = minirocket_kernels();
+  const double inv_n = 1.0 / static_cast<double>(input_length_);
+  const double* const x3 = prepare_series(x.data(), x.size(), scratch);
+  double* const row = out.data();
+  for (std::size_t di = 0; di < num_dilations; ++di) {
+    const long long d = dilations_[di];
+    kt.nine_tap_sum(x.data(), n, d, scratch.sum9.data());
+    for (std::size_t ki = 0; ki < kernels.size(); ++ki) {
+      const std::array<int, 3>& k = kernels[ki];
+      const std::size_t combo = ki * num_dilations + di;
+      if (options_.pooling == Pooling::kMax) {
+        kt.kernel_conv(x.data(), n, scratch.sum9.data(), k[0], k[1], k[2], d,
+                       scratch.conv.data());
+        const double* conv = scratch.conv.data();
+        double peak = conv[0];
+        for (long long i = 1; i < n; ++i) peak = std::max(peak, conv[i]);
+        row[combo] = peak;
+        continue;
+      }
+      const backend::ComboBiases biases{
+          sorted_biases_.data() + combo * bias_pad_stride_,
+          bias_rank_.data() + combo * biases_per_combo_, biases_per_combo_,
+          bias_search_steps_};
+      kt.conv_ppv(x3, scratch.sum9.data(), n, k[0], k[1], k[2], d, biases,
+                  inv_n, scratch.counts.data(),
+                  row + combo * biases_per_combo_);
+    }
   }
 }
 
@@ -473,57 +466,33 @@ linalg::Vector MiniRocket::transform(std::span<const double> x) const {
   return features;
 }
 
-void MiniRocket::transform_batch_into(std::span<const Series* const> batch,
-                                      double* out, std::size_t row_stride,
-                                      std::size_t max_threads) const {
-  if (!fitted()) throw std::logic_error("MiniRocket::transform: not fitted");
-  for (const Series* s : batch) {
-    if (s == nullptr || s->size() != input_length_) {
-      throw std::invalid_argument(
-          "MiniRocket::transform_batch: length mismatch");
-    }
-  }
-  // One task per (series, dilation) tile: each writes the disjoint
-  // feature slots of its combo column within its series' row, so the
-  // matrix is bit-identical to per-series transforms for any thread
-  // count.  Per-thread scratch stays warm across tiles and batches
-  // (pool workers persist), giving the allocation-free steady state.
-  const std::size_t num_dilations = dilations_.size();
-  // Resolve the dispatch once; every worker tile uses the same table even
-  // if force_isa() flips concurrently.
-  const backend::KernelTable& kt = backend::kernels();
-  try {
-    util::parallel_for(
-        batch.size() * num_dilations, /*chunk=*/1,
-        [&](std::size_t t) {
-          const std::size_t s = t / num_dilations;
-          const double* x = batch[s]->data();
-          TransformScratch& scratch = thread_transform_scratch();
-          scratch.reserve(input_length_, biases_per_combo_);
-          transform_tile(x, prepare_series(x, input_length_, scratch),
-                         t % num_dilations, kt, scratch,
-                         out + s * row_stride);
-        },
-        max_threads);
-  } catch (const util::ParallelForError& e) {
-    e.rethrow_cause();
-  }
-}
-
 linalg::Matrix MiniRocket::transform_batch(std::span<const Series> batch,
                                            std::size_t max_threads) const {
   const obs::Span span("minirocket.transform_batch", "ml");
   const obs::ScopedLatency latency("minirocket.batch_us");
   obs::add_counter("minirocket.transforms", batch.size());
+  if (!fitted()) throw std::logic_error("MiniRocket::transform: not fitted");
+  for (const Series& s : batch) {
+    if (s.size() != input_length_) {
+      throw std::invalid_argument(
+          "MiniRocket::transform_batch: length mismatch");
+    }
+  }
+  // One task per series, each writing its own row through the calling
+  // thread's scratch, so the matrix is bit-identical to per-series
+  // transforms for any thread count.
   linalg::Matrix out(batch.size(), num_features());
-  std::vector<const Series*> ptrs(batch.size());
-  for (std::size_t i = 0; i < batch.size(); ++i) ptrs[i] = &batch[i];
-  transform_batch_into(ptrs, out.data().data(), out.cols(), max_threads);
+  try {
+    util::parallel_for(
+        batch.size(), /*chunk=*/1,
+        [&](std::size_t i) {
+          transform_into(batch[i], out.row(i), thread_transform_scratch());
+        },
+        max_threads);
+  } catch (const util::ParallelForError& e) {
+    e.rethrow_cause();
+  }
   return out;
-}
-
-linalg::Matrix MiniRocket::transform(const std::vector<Series>& batch) const {
-  return transform_batch(std::span<const Series>(batch));
 }
 
 MultiChannelMiniRocket::MultiChannelMiniRocket(MiniRocketOptions options)
@@ -565,9 +534,8 @@ std::size_t MultiChannelMiniRocket::num_features() const {
   return total;
 }
 
-void MultiChannelMiniRocket::transform_into(
-    const std::vector<Series>& sample, std::span<double> out,
-    TransformScratch& scratch) const {
+void MultiChannelMiniRocket::check_sample(
+    const std::vector<Series>& sample) const {
   if (!fitted()) {
     throw std::logic_error("MultiChannelMiniRocket::transform: not fitted");
   }
@@ -575,12 +543,11 @@ void MultiChannelMiniRocket::transform_into(
     throw std::invalid_argument(
         "MultiChannelMiniRocket::transform: channel count mismatch");
   }
-  if (out.size() != num_features()) {
-    throw std::invalid_argument(
-        "MultiChannelMiniRocket::transform: bad output size");
-  }
-  const obs::Span span("minirocket.transform", "ml");
-  obs::add_counter("minirocket.transforms");
+}
+
+void MultiChannelMiniRocket::transform_channels(
+    const std::vector<Series>& sample, std::span<double> out,
+    TransformScratch& scratch) const {
   std::size_t offset = 0;
   for (std::size_t c = 0; c < per_channel_.size(); ++c) {
     const std::size_t nf = per_channel_[c].num_features();
@@ -588,6 +555,19 @@ void MultiChannelMiniRocket::transform_into(
                                    scratch);
     offset += nf;
   }
+}
+
+void MultiChannelMiniRocket::transform_into(
+    const std::vector<Series>& sample, std::span<double> out,
+    TransformScratch& scratch) const {
+  check_sample(sample);
+  if (out.size() != num_features()) {
+    throw std::invalid_argument(
+        "MultiChannelMiniRocket::transform: bad output size");
+  }
+  const obs::Span span("minirocket.transform", "ml");
+  obs::add_counter("minirocket.transforms");
+  transform_channels(sample, out, scratch);
 }
 
 linalg::Vector MultiChannelMiniRocket::transform(
@@ -600,26 +580,25 @@ linalg::Vector MultiChannelMiniRocket::transform(
 linalg::Matrix MultiChannelMiniRocket::transform(
     const std::vector<std::vector<Series>>& batch,
     std::size_t max_threads) const {
-  if (!fitted()) {
-    throw std::logic_error("MultiChannelMiniRocket::transform: not fitted");
-  }
   const obs::Span span("minirocket.transform_batch", "ml");
   const obs::ScopedLatency latency("minirocket.batch_us");
   obs::add_counter("minirocket.transforms", batch.size());
-  for (const auto& sample : batch) {
-    if (sample.size() != per_channel_.size()) {
-      throw std::invalid_argument(
-          "MultiChannelMiniRocket::transform: channel count mismatch");
-    }
+  if (!fitted()) {
+    throw std::logic_error("MultiChannelMiniRocket::transform: not fitted");
   }
+  for (const auto& sample : batch) check_sample(sample);
+  // One task per sample; see MiniRocket::transform_batch.
   linalg::Matrix out(batch.size(), num_features());
-  std::vector<const Series*> ptrs(batch.size());
-  std::size_t offset = 0;
-  for (std::size_t c = 0; c < per_channel_.size(); ++c) {
-    for (std::size_t i = 0; i < batch.size(); ++i) ptrs[i] = &batch[i][c];
-    per_channel_[c].transform_batch_into(ptrs, out.data().data() + offset,
-                                         out.cols(), max_threads);
-    offset += per_channel_[c].num_features();
+  try {
+    util::parallel_for(
+        batch.size(), /*chunk=*/1,
+        [&](std::size_t i) {
+          transform_channels(batch[i], out.row(i),
+                             thread_transform_scratch());
+        },
+        max_threads);
+  } catch (const util::ParallelForError& e) {
+    e.rethrow_cause();
   }
   return out;
 }

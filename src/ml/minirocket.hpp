@@ -16,16 +16,17 @@
 //
 // Two implementations coexist:
 //
-//   * The fast path — an allocation-free, cache-blocked batch engine.
-//     All working memory lives in a reusable `TransformScratch`.  Per
-//     (series x dilation) tile the nine-tap sum is computed once; then
-//     the backend's fused `conv_ppv` kernel completes each kernel's
-//     response one vector block at a time in registers (from a 3.0*x
-//     series computed once per series) and counts it against all of the
-//     combo's biases, so a PPV response is never stored.  Max pooling
-//     stores one response at a time in a reused buffer.
-//     `transform_batch` tiles (series x dilation) blocks across
-//     `util::parallel_for`.
+//   * The fast path — one allocation-free engine, `transform_into`, that
+//     scores one series at a time.  All working memory lives in a
+//     reusable `TransformScratch`.  The series is laid out once (as
+//     3.0*x with zero padding); per dilation the nine-tap sum is computed
+//     once, then the backend's fused `conv_ppv` kernel completes each
+//     kernel's response one vector block at a time in registers and
+//     counts it against all of the combo's biases, so a PPV response is
+//     never stored.  Max pooling stores one response at a time in a
+//     reused buffer.  The batch entry points are a `util::parallel_for`
+//     over series (or samples), one task per row, each running
+//     `transform_into` through its thread's scratch.
 //   * `minirocket::reference` — the original straightforward scalar
 //     implementation, kept compiled-in as the oracle.  The fast path
 //     must agree with it bit-for-bit (same floating-point operation
@@ -40,10 +41,6 @@
 
 #include "linalg/matrix.hpp"
 #include "util/rng.hpp"
-
-namespace p2auth::backend {
-struct KernelTable;
-}  // namespace p2auth::backend
 
 namespace p2auth::ml {
 
@@ -100,7 +97,7 @@ struct TransformScratch {
 
 // The calling thread's reusable scratch.  Pool worker threads persist
 // across `parallel_for` calls, so batch transforms reach a zero-allocation
-// steady state after the first tile per thread.
+// steady state after the first series per thread.
 TransformScratch& thread_transform_scratch() noexcept;
 
 class MiniRocket {
@@ -138,24 +135,13 @@ class MiniRocket {
   void transform_into(std::span<const double> x, std::span<double> out,
                       TransformScratch& scratch) const;
 
-  // Transforms a batch into a feature matrix (rows = samples), tiling
-  // (series x dilation) blocks across the shared thread pool.  Output is
-  // bit-identical to per-series `transform` for any thread count.
+  // Transforms a batch into a feature matrix (rows = samples): one
+  // `transform_into` task per series on the shared thread pool.  Output
+  // is bit-identical to per-series `transform` for any thread count.
   // `max_threads` follows the `util::parallel_for` convention (0 = the
   // resolve_threads default).
   linalg::Matrix transform_batch(std::span<const Series> batch,
                                  std::size_t max_threads = 0) const;
-  // Same engine writing into caller-owned row-strided storage: row i of
-  // the output starts at out + i * row_stride.  `batch` is a span of
-  // pointers so non-contiguous inputs (e.g. one channel plucked from
-  // multi-channel samples) can be transformed without gathering copies.
-  void transform_batch_into(std::span<const Series* const> batch, double* out,
-                            std::size_t row_stride,
-                            std::size_t max_threads = 0) const;
-
-  // Batch convenience retained for existing callers; forwards to
-  // transform_batch.
-  linalg::Matrix transform(const std::vector<Series>& batch) const;
 
   // Reassembles a fitted transform (dilations + biases) from
   // already-parsed parts — the entry point of the model-store reader in
@@ -170,14 +156,6 @@ class MiniRocket {
                                std::vector<double> biases);
 
  private:
-  // One (series, dilation) tile of the fast path, shared by
-  // transform_into and transform_batch_into: writes every combo of
-  // dilation index `di` into `row`, the series' feature row.  `x3` is the
-  // series as prepared for backend::ConvPpvFn.
-  void transform_tile(const double* x, const double* x3, std::size_t di,
-                      const backend::KernelTable& kt,
-                      TransformScratch& scratch, double* row) const;
-
   // Derived PPV counting index (not stored; rebuilt by fit/from_parts),
   // handed to backend::ConvPpvFn as one ComboBiases per combo.  The SIMD
   // backends count each response against the combo's *sorted* biases in
@@ -229,6 +207,8 @@ class MultiChannelMiniRocket {
   // Allocation-free single-sample path; `out` must hold num_features().
   void transform_into(const std::vector<Series>& sample,
                       std::span<double> out, TransformScratch& scratch) const;
+  // Batch of samples into a feature matrix: one task per sample, same
+  // thread-count contract as MiniRocket::transform_batch.
   linalg::Matrix transform(const std::vector<std::vector<Series>>& batch,
                            std::size_t max_threads = 0) const;
 
@@ -239,6 +219,14 @@ class MultiChannelMiniRocket {
                                            std::vector<MiniRocket> channels);
 
  private:
+  // Throws unless fitted and `sample` has one series per channel.
+  void check_sample(const std::vector<Series>& sample) const;
+  // Per-channel transform_into into consecutive slices of `out`; no
+  // validation of `out` and no telemetry.
+  void transform_channels(const std::vector<Series>& sample,
+                          std::span<double> out,
+                          TransformScratch& scratch) const;
+
   MiniRocketOptions options_;
   std::vector<MiniRocket> per_channel_;
 };

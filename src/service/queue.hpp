@@ -5,8 +5,9 @@
 // can return the typed kOverloaded rejection while the client still
 // cares about the answer.  Consumers block in `pop_batch`, which hands
 // back up to `max` items at once: everything a worker drains in one wake
-// forms one scoring batch, so batch size adapts to the instantaneous
-// backlog (1 under light load, `max` under pressure).
+// forms one batch, so batch size adapts to the instantaneous backlog (1
+// under light load, `max` under pressure) and one wake-up serves them
+// all.
 //
 // Shutdown contract: `close()` refuses further pushes but pops continue
 // until the queue is drained — every admitted item is handed to exactly

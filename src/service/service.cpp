@@ -1,11 +1,9 @@
 #include "service/service.hpp"
 
-#include <algorithm>
 #include <atomic>
 #include <exception>
 #include <mutex>
 #include <stdexcept>
-#include <unordered_map>
 #include <utility>
 
 #include "obs/audit.hpp"
@@ -24,6 +22,7 @@ const char* to_string(RequestStatus status) noexcept {
     case RequestStatus::kUnknownUser: return "unknown_user";
     case RequestStatus::kOverloaded: return "overloaded";
     case RequestStatus::kShuttingDown: return "shutting_down";
+    case RequestStatus::kModelUnavailable: return "model_unavailable";
   }
   return "unknown";
 }
@@ -53,9 +52,9 @@ struct AuthService::Impl {
 
   // Stats (relaxed atomics: monotonic counters, no ordering needed).
   std::atomic<std::uint64_t> submitted{0}, admitted{0}, overloaded{0},
-      shutdown_rejects{0}, completed{0}, unknown_user{0}, accepted{0},
-      lru_hits{0}, lru_misses{0}, batches{0}, batched_requests{0},
-      max_batch{0};
+      shutdown_rejects{0}, completed{0}, unknown_user{0},
+      model_unavailable{0}, accepted{0}, lru_hits{0}, lru_misses{0},
+      batches{0}, batched_requests{0}, max_batch{0};
 
   Impl(std::shared_ptr<ModelSource> src, const ServiceOptions& opts)
       : source(std::move(src)), options(opts),
@@ -67,9 +66,10 @@ struct AuthService::Impl {
   }
 
   // Resolves a user through the shard cache, materializing from the
-  // source on a miss.  nullptr = unknown name.  Concurrent misses for
-  // one name may materialize twice; the second insert wins and both
-  // copies decide identically (materialization is deterministic).
+  // source on a miss.  nullptr = unknown name; a corrupt record throws
+  // util::SerializeError.  Concurrent misses for one name may
+  // materialize twice; the first insert wins and both copies decide
+  // identically (materialization is deterministic).
   std::shared_ptr<const core::EnrolledUser> resolve(std::string_view name) {
     Shard& shard = *shards[shard_index(name)];
     {
@@ -87,7 +87,7 @@ struct AuthService::Impl {
         std::make_shared<const core::EnrolledUser>(std::move(*loaded));
     std::lock_guard<std::mutex> lock(shard.mu);
     // Re-check: if a racing miss inserted meanwhile, adopt the cached
-    // pointer so one canonical model per name feeds batch grouping.
+    // pointer so the cache keeps one model per name.
     if (auto* hit = shard.cache.find(name)) return *hit;
     shard.cache.insert(std::string(name), model);
     return model;
@@ -116,21 +116,13 @@ struct AuthService::Impl {
   }
 
   void process_batch(std::vector<Pending>& batch);
+  // Resolves and decides one request and answers its promise; never
+  // throws.
+  void decide(Pending& pending, std::size_t batch_size);
 };
 
 void AuthService::Impl::process_batch(std::vector<Pending>& batch) {
-  // One request mid-flight through this batch.
-  struct Slot {
-    Pending* pending = nullptr;
-    std::shared_ptr<const core::EnrolledUser> user;
-    core::PreparedAuth prepared;
-    std::vector<double> decisions;  // unit order
-    std::int64_t start_us = 0;      // dequeue time (service_us anchor)
-    bool open = false;              // still needs finish + respond
-  };
-
   const obs::Span span("service.batch", "service");
-  const bool timed = obs::enabled() || obs::audit_recorder() != nullptr;
   batches.fetch_add(1, std::memory_order_relaxed);
   obs::add_counter("service.batches");
   if (batch.size() > 1) {
@@ -141,111 +133,68 @@ void AuthService::Impl::process_batch(std::vector<Pending>& batch) {
          !max_batch.compare_exchange_weak(seen, batch.size(),
                                           std::memory_order_relaxed)) {
   }
+  // decide() answers every request itself and lets nothing escape, so a
+  // failing task cannot cancel the rest of the batch.
+  util::parallel_for(
+      batch.size(), /*chunk=*/1,
+      [&](std::size_t i) { decide(batch[i], batch.size()); },
+      options.batch_threads);
+}
 
-  // --- Per-request phases: resolve + prepare. -------------------------
-  std::vector<Slot> slots(batch.size());
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    Slot& slot = slots[i];
-    slot.pending = &batch[i];
-    slot.start_us = obs::now_us();
-    AuthResponse response;
-    response.request_id = batch[i].request.request_id;
-    response.queue_us =
-        static_cast<double>(slot.start_us - batch[i].enqueue_us);
-    obs::observe_latency_us("service.queue_us", response.queue_us);
-
-    slot.user = resolve(batch[i].request.user);
-    if (slot.user == nullptr) {
-      unknown_user.fetch_add(1, std::memory_order_relaxed);
-      obs::add_counter("service.unknown_user");
-      response.status = RequestStatus::kUnknownUser;
-      response.service_us =
-          static_cast<double>(obs::now_us() - slot.start_us);
-      batch[i].promise.set_value(std::move(response));
-      continue;
+void AuthService::Impl::decide(Pending& pending, std::size_t batch_size) {
+  const std::int64_t start_us = obs::now_us();
+  AuthResponse response;
+  response.request_id = pending.request.request_id;
+  response.queue_us = static_cast<double>(start_us - pending.enqueue_us);
+  obs::observe_latency_us("service.queue_us", response.queue_us);
+  const auto respond = [&] {
+    response.service_us = static_cast<double>(obs::now_us() - start_us);
+    if (response.status == RequestStatus::kOk) {
+      obs::observe_latency_us("service.total_us",
+                              response.queue_us + response.service_us);
     }
-    try {
-      slot.prepared = core::prepare_authentication(
-          *slot.user, batch[i].request.observation, options.auth);
-    } catch (const std::exception&) {
-      // A structurally invalid observation (empty trace, ragged
-      // channels) throws in preprocessing; the service answers it like
-      // the pipeline answers an inconsistent keystroke log.
-      slot.prepared = core::PreparedAuth{};
-      slot.prepared.decided = true;
-      slot.prepared.result.reason = core::RejectReason::kMalformedEntry;
-    }
-    slot.decisions.assign(slot.prepared.units.size(), 0.0);
-    slot.open = true;
-  }
-
-  // --- Shared scoring: group every unit in the batch by target model
-  // and push each group through one WaveformModel::decisions call (one
-  // transform_batch per model).  Grouping order is first-appearance, so
-  // the batch composition — not pointer values — drives the layout;
-  // either way each waveform's features are computed independently and
-  // bit-identically to the serial loop.
-  struct Group {
-    const core::WaveformModel* model = nullptr;
-    std::vector<std::vector<core::Series>> waveforms;
-    std::vector<std::pair<std::size_t, std::size_t>> origin;  // slot, unit
+    pending.promise.set_value(std::move(response));
   };
-  std::vector<Group> groups;
-  std::unordered_map<const core::WaveformModel*, std::size_t> group_of;
-  for (std::size_t s = 0; s < slots.size(); ++s) {
-    if (!slots[s].open) continue;
-    auto& units = slots[s].prepared.units;
-    for (std::size_t u = 0; u < units.size(); ++u) {
-      const auto [it, fresh] =
-          group_of.try_emplace(units[u].model, groups.size());
-      if (fresh) {
-        groups.emplace_back();
-        groups.back().model = units[u].model;
-      }
-      Group& g = groups[it->second];
-      g.waveforms.push_back(std::move(units[u].waveform));
-      g.origin.emplace_back(s, u);
-    }
+
+  std::shared_ptr<const core::EnrolledUser> user;
+  try {
+    user = resolve(pending.request.user);
+  } catch (const std::exception&) {
+    // The store holds the name but its record fails the CRC or shape
+    // checks (materialize throws util::SerializeError): answer typed and
+    // keep serving every other name.
+    model_unavailable.fetch_add(1, std::memory_order_relaxed);
+    obs::add_counter("service.model_unavailable");
+    response.status = RequestStatus::kModelUnavailable;
+    respond();
+    return;
   }
-  for (Group& g : groups) {
-    const linalg::Vector scores =
-        g.model->decisions(g.waveforms, options.batch_threads);
-    for (std::size_t i = 0; i < g.origin.size(); ++i) {
-      slots[g.origin[i].first].decisions[g.origin[i].second] = scores[i];
-    }
+  if (user == nullptr) {
+    unknown_user.fetch_add(1, std::memory_order_relaxed);
+    obs::add_counter("service.unknown_user");
+    response.status = RequestStatus::kUnknownUser;
+    respond();
+    return;
   }
 
-  // --- Per-request integration + response. ----------------------------
-  for (Slot& slot : slots) {
-    if (!slot.open) continue;
-    AuthResponse response;
-    response.request_id = slot.pending->request.request_id;
-    response.queue_us =
-        static_cast<double>(slot.start_us - slot.pending->enqueue_us);
-    response.batch_size = batch.size();
-    core::AuthResult result = core::finish_authentication(
-        std::move(slot.prepared), slot.decisions);
-    if (timed) {
-      // Same staging as core::authenticate; in batched mode model_us
-      // covers the shared scoring section's wall time.
-      result.latencies.total_us =
-          static_cast<double>(obs::now_us() - slot.start_us);
-      const double staged =
-          result.latencies.pin_us + result.latencies.preprocess_us;
-      result.latencies.model_us =
-          std::max(0.0, result.latencies.total_us - staged);
-    }
-    core::commit_decision(slot.user->user_id, result);
-    completed.fetch_add(1, std::memory_order_relaxed);
-    if (result.accepted) accepted.fetch_add(1, std::memory_order_relaxed);
-    obs::add_counter("service.completed");
-    response.service_us =
-        static_cast<double>(obs::now_us() - slot.start_us);
-    obs::observe_latency_us("service.total_us",
-                            response.queue_us + response.service_us);
-    response.result = std::move(result);
-    slot.pending->promise.set_value(std::move(response));
+  response.batch_size = batch_size;
+  try {
+    response.result =
+        core::authenticate(*user, pending.request.observation, options.auth);
+  } catch (const std::exception&) {
+    // A structurally invalid observation (empty trace, ragged channels)
+    // throws in preprocessing; the service answers it like the pipeline
+    // answers an inconsistent keystroke log.
+    response.result = core::AuthResult{};
+    response.result.reason = core::RejectReason::kMalformedEntry;
+    core::commit_decision(user->user_id, response.result);
   }
+  completed.fetch_add(1, std::memory_order_relaxed);
+  if (response.result.accepted) {
+    accepted.fetch_add(1, std::memory_order_relaxed);
+  }
+  obs::add_counter("service.completed");
+  respond();
 }
 
 AuthService::AuthService(std::shared_ptr<ModelSource> source,
@@ -327,6 +276,8 @@ ServiceStats AuthService::stats() const {
       impl_->shutdown_rejects.load(std::memory_order_relaxed);
   out.completed = impl_->completed.load(std::memory_order_relaxed);
   out.unknown_user = impl_->unknown_user.load(std::memory_order_relaxed);
+  out.model_unavailable =
+      impl_->model_unavailable.load(std::memory_order_relaxed);
   out.accepted = impl_->accepted.load(std::memory_order_relaxed);
   out.lru_hits = impl_->lru_hits.load(std::memory_order_relaxed);
   out.lru_misses = impl_->lru_misses.load(std::memory_order_relaxed);

@@ -8,17 +8,15 @@
 //                                                ▼  batch of up to
 //                                                   max_batch requests
 //        shard[h(name) % N]: mutex + LRU of materialized models
-//                │ miss ⇒ ModelSource::load (mmap materialize)
+//                │ miss ⇒ ModelSource::load (mmap materialize;
+//                │        corrupt record ⇒ typed kModelUnavailable)
 //                ▼
-//        prepare_authentication per request (PIN, preprocess, gating,
-//        waveform extraction) — then all scoring units of the batch are
-//        grouped by target model and pushed through ONE
-//        WaveformModel::decisions call per model (one transform_batch
-//        under the hood), then finish_authentication integrates votes
-//        per request.  WaveformModel::decisions is pinned bit-identical
-//        to the per-waveform scoring loop, so a batched service decision
-//        equals a serial core::authenticate replay, bit for bit — the
-//        harness tests and bench_service enforce this with checksums.
+//        core::authenticate per request, one request at a time (or
+//        `batch_threads` at a time over the shared pool) — the same
+//        per-waveform scoring engine as a serial caller, so a service
+//        decision equals a serial core::authenticate replay, bit for
+//        bit; the harness tests and bench_service enforce this with
+//        checksums.
 //
 // Shutdown: stop() refuses new submissions (immediate kShuttingDown
 // responses), closes the queue, and joins the workers after they drain
@@ -47,6 +45,7 @@ enum class RequestStatus : std::uint8_t {
   kUnknownUser,    // name not present in any model store
   kOverloaded,     // admission queue full — shed, not queued
   kShuttingDown,   // submitted after stop()
+  kModelUnavailable,  // the name's stored record is corrupt (CRC/shape)
 };
 
 const char* to_string(RequestStatus status) noexcept;
@@ -62,10 +61,10 @@ struct ServiceOptions {
   std::size_t queue_capacity = 1024;
   // Worker threads (0 = util::resolve_threads default).
   std::size_t workers = 2;
-  // Upper bound on requests decided in one scoring batch.
+  // Upper bound on requests a worker dequeues in one batch.
   std::size_t max_batch = 16;
-  // Thread budget for the shared transform_batch inside a batch (1 =
-  // inline on the worker; >1 fans the tiles out over the shared pool).
+  // Thread budget for deciding one batch's requests (1 = one after
+  // another on the worker; >1 spreads them over the shared pool).
   std::size_t batch_threads = 1;
   core::AuthOptions auth{};
 };
@@ -84,7 +83,7 @@ struct AuthResponse {
   // Service-side timings (microseconds; decision state excludes them).
   double queue_us = 0.0;    // admission -> dequeue
   double service_us = 0.0;  // dequeue -> decision
-  // How many requests shared this scoring batch.
+  // How many requests the worker dequeued together with this one.
   std::size_t batch_size = 0;
 };
 
@@ -96,11 +95,12 @@ struct ServiceStats {
   std::uint64_t shutdown_rejects = 0;  // submitted after stop()
   std::uint64_t completed = 0;    // decisions delivered (status kOk)
   std::uint64_t unknown_user = 0;
+  std::uint64_t model_unavailable = 0;  // corrupt stored record
   std::uint64_t accepted = 0;     // of completed
   std::uint64_t lru_hits = 0;
   std::uint64_t lru_misses = 0;   // materializations
   std::uint64_t evictions = 0;
-  std::uint64_t batches = 0;      // scoring batches processed
+  std::uint64_t batches = 0;      // dequeued batches processed
   std::uint64_t batched_requests = 0;  // requests in multi-request batches
   std::uint64_t max_batch = 0;    // largest batch observed
 };

@@ -1,8 +1,10 @@
 // Shared thread-pool parallel runtime.
 //
 // One lazily-started pool serves every parallelizable hot path in the
-// library (the per-user evaluation sweep, batch MiniRocket transforms,
-// per-key enrollment training, the ridge lambda grid).  The only
+// library (the per-user evaluation sweep, batch MiniRocket transforms
+// and WaveformModel::decisions at one task per series, per-key
+// enrollment training, the ridge lambda grid, a service batch's
+// requests when ServiceOptions::batch_threads > 1).  The only
 // primitive is `parallel_for(n, chunk, fn)`: indices [0, n) are split
 // into contiguous chunks which workers claim from a shared atomic
 // cursor, so results are written to per-index slots and any reduction

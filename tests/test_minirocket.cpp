@@ -156,7 +156,7 @@ TEST(MiniRocket, BatchTransformMatchesSingle) {
   util::Rng rng(14);
   MiniRocket rocket;
   rocket.fit(train, rng);
-  const linalg::Matrix batch = rocket.transform(train);
+  const linalg::Matrix batch = rocket.transform_batch(train);
   for (std::size_t i = 0; i < 2; ++i) {
     const linalg::Vector single = rocket.transform(train[i]);
     for (std::size_t j = 0; j < single.size(); ++j) {

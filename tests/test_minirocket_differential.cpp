@@ -15,6 +15,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
 #include <cmath>
 #include <cstdlib>
 #include <limits>
@@ -208,10 +209,10 @@ TEST(MiniRocketDifferential, EveryBackendBitIdenticalOnThousandRandomCases) {
 }
 
 // transform_batch must agree with the reference's serial per-series loop
-// bit-for-bit regardless of thread count (tiles write disjoint feature
-// slots; no accumulation crosses a tile boundary).  Runs at 1 and 8
-// threads — the 8-thread run under TSan in CI doubles as the contention
-// check on the shared per-thread scratch.
+// bit-for-bit regardless of thread count (each task writes its own row;
+// no accumulation crosses rows).  Runs at 1 and 8 threads — the 8-thread
+// run under TSan in CI doubles as the contention check on the shared
+// per-thread scratch.
 TEST(MiniRocketDifferential, BatchMatchesReferenceAcrossThreadCounts) {
   for (const backend::Isa isa : backend::available_isas()) {
     ForcedBackend forced(isa);
@@ -233,6 +234,79 @@ TEST(MiniRocketDifferential, BatchMatchesReferenceAcrossThreadCounts) {
                                "backend=" + backend_name + " threads=" +
                                    std::to_string(threads) + " row=" +
                                    std::to_string(r));
+        }
+      }
+    }
+  }
+}
+
+// Same bits, compared as bit patterns so NaN features (max pooling of a
+// NaN series) count as equal only when their representations are.
+void expect_same_bits(std::span<const double> got,
+                      std::span<const double> want,
+                      const std::string& context) {
+  ASSERT_EQ(got.size(), want.size()) << context;
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(got[i]),
+              std::bit_cast<std::uint64_t>(want[i]))
+        << context << ": feature " << i;
+  }
+}
+
+// The multi-channel batch (one task per sample) against the per-sample
+// transform_into it is built from, on every backend, at 1 and 4 threads,
+// with NaN, +/-inf and -0.0 planted in one channel of some samples.
+TEST(MiniRocketDifferential, MultiChannelBatchMatchesTransformInto) {
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr std::size_t kLength = 90, kChannels = 3;
+  util::Rng rng(0x3c4a77e1ULL, 0x88ULL);
+  auto sample = [&] {
+    std::vector<Series> channels;
+    for (std::size_t c = 0; c < kChannels; ++c) {
+      channels.push_back(random_series(kLength, rng));
+    }
+    return channels;
+  };
+  std::vector<std::vector<Series>> train;
+  for (std::size_t i = 0; i < 6; ++i) train.push_back(sample());
+  std::vector<std::vector<Series>> batch;
+  for (std::size_t i = 0; i < 10; ++i) {
+    batch.push_back(sample());
+    if (i % 3 != 0) continue;
+    Series& hostile = batch.back()[1];
+    hostile[0] = kNan;
+    hostile[1] = -0.0;
+    hostile[kLength / 2] = kInf;
+    hostile[kLength / 2 + 1] = -kInf;
+    hostile[kLength - 1] = kNan;
+  }
+  batch.push_back({Series(kLength, 0.0), Series(kLength, -0.0),
+                   random_series(kLength, rng)});
+  for (const Pooling pooling : {Pooling::kPpv, Pooling::kMax}) {
+    MiniRocketOptions options;
+    options.num_features = 1500;
+    options.pooling = pooling;
+    MultiChannelMiniRocket model(options);
+    util::Rng fit_rng(0x3c4a77e2ULL);
+    model.fit(train, fit_rng);
+    for (const backend::Isa isa : backend::available_isas()) {
+      ForcedBackend forced(isa);
+      const std::string where = std::string("backend=") +
+                                backend::isa_name(isa) + " pooling=" +
+                                std::to_string(static_cast<int>(pooling));
+      TransformScratch scratch;
+      linalg::Matrix want(batch.size(), model.num_features());
+      for (std::size_t r = 0; r < batch.size(); ++r) {
+        model.transform_into(batch[r], want.row(r), scratch);
+      }
+      for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+        const linalg::Matrix got = model.transform(batch, threads);
+        ASSERT_EQ(got.rows(), want.rows());
+        for (std::size_t r = 0; r < want.rows(); ++r) {
+          expect_same_bits(got.row(r), want.row(r),
+                           where + " threads=" + std::to_string(threads) +
+                               " row=" + std::to_string(r));
         }
       }
     }

@@ -1,6 +1,7 @@
 // Service-layer suite: shard routing, the per-shard LRU, the bounded
-// admission queue, typed overload shedding, graceful shutdown, and the
-// batched scoring path's bit-identity against serial authentication.
+// admission queue, typed overload shedding, graceful shutdown, typed
+// refusal of a corrupt stored record, and the service decisions'
+// bit-identity against serial authentication.
 //
 // Concurrency-sensitive cases (overload, drain, batching) are made
 // deterministic with a gate source: a ModelSource wrapper whose load()
@@ -9,10 +10,12 @@
 #include "service/service.hpp"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <condition_variable>
 #include <cstdio>
 #include <fstream>
+#include <iterator>
 #include <mutex>
 #include <set>
 #include <sstream>
@@ -21,6 +24,9 @@
 
 #include "bench_common.hpp"
 #include "core/enrollment.hpp"
+#include "core/registry.hpp"
+#include "io/binary.hpp"
+#include "io/detail.hpp"
 #include "service/checksum.hpp"
 #include "service/lru.hpp"
 #include "service/queue.hpp"
@@ -411,43 +417,48 @@ TEST(Service, LruEvictionRematerializesCorrectly) {
 }
 
 // Parking the single worker lets a backlog accumulate; releasing it must
-// decide the backlog as one shared scoring batch — and still match the
-// serial oracle bit for bit.
+// dequeue the backlog as one batch — and still match the serial oracle
+// bit for bit, whether the worker decides the batch itself or spreads it
+// over the shared pool.
 TEST(Service, BatchedBacklogMatchesSerial) {
   const Enrolled& f = fixture();
-  auto inner = aliased_source(2);
-  auto gate = std::make_shared<GateSource>(inner, "gate");
-  ServiceOptions options;
-  options.workers = 1;
-  options.max_batch = 8;
-  AuthService svc(std::shared_ptr<ModelSource>(gate), options);
+  for (const std::size_t batch_threads : {std::size_t{1}, std::size_t{4}}) {
+    SCOPED_TRACE("batch_threads=" + std::to_string(batch_threads));
+    auto inner = aliased_source(2);
+    auto gate = std::make_shared<GateSource>(inner, "gate");
+    ServiceOptions options;
+    options.workers = 1;
+    options.max_batch = 8;
+    options.batch_threads = batch_threads;
+    AuthService svc(std::shared_ptr<ModelSource>(gate), options);
 
-  auto parked = svc.submit(named_request(99, "gate0"));
-  gate->wait_entered(1);
-  std::vector<std::future<AuthResponse>> futures;
-  std::vector<std::uint64_t> expected;
-  for (std::uint64_t i = 0; i < 5; ++i) {
-    const core::Observation obs = f.fresh_observation(60 + i, i == 4);
-    const std::string name = "user" + std::to_string(i % 2);
-    expected.push_back(
-        decision_checksum(core::authenticate(*inner->load(name), obs)));
-    AuthRequest request = named_request(i, name);
-    request.observation = obs;
-    futures.push_back(svc.submit(std::move(request)));
+    auto parked = svc.submit(named_request(99, "gate0"));
+    gate->wait_entered(1);
+    std::vector<std::future<AuthResponse>> futures;
+    std::vector<std::uint64_t> expected;
+    for (std::uint64_t i = 0; i < 5; ++i) {
+      const core::Observation obs = f.fresh_observation(60 + i, i == 4);
+      const std::string name = "user" + std::to_string(i % 2);
+      expected.push_back(
+          decision_checksum(core::authenticate(*inner->load(name), obs)));
+      AuthRequest request = named_request(i, name);
+      request.observation = obs;
+      futures.push_back(svc.submit(std::move(request)));
+    }
+    gate->open();
+    EXPECT_EQ(parked.get().status, RequestStatus::kUnknownUser);
+    for (std::uint64_t i = 0; i < futures.size(); ++i) {
+      const AuthResponse response = futures[i].get();
+      ASSERT_EQ(response.status, RequestStatus::kOk);
+      EXPECT_EQ(decision_checksum(response.result), expected[i])
+          << "batched request " << i << " diverged from serial authenticate";
+      EXPECT_EQ(response.batch_size, 5u);  // the whole backlog in one batch
+    }
+    svc.stop();
+    const ServiceStats stats = svc.stats();
+    EXPECT_EQ(stats.max_batch, 5u);
+    EXPECT_GE(stats.batched_requests, 5u);
   }
-  gate->open();
-  EXPECT_EQ(parked.get().status, RequestStatus::kUnknownUser);
-  for (std::uint64_t i = 0; i < futures.size(); ++i) {
-    const AuthResponse response = futures[i].get();
-    ASSERT_EQ(response.status, RequestStatus::kOk);
-    EXPECT_EQ(decision_checksum(response.result), expected[i])
-        << "batched request " << i << " diverged from serial authenticate";
-    EXPECT_EQ(response.batch_size, 5u);  // the whole backlog in one batch
-  }
-  svc.stop();
-  const ServiceStats stats = svc.stats();
-  EXPECT_EQ(stats.max_batch, 5u);
-  EXPECT_GE(stats.batched_requests, 5u);
 }
 
 TEST(Service, MalformedObservationIsDecidedNotFatal) {
@@ -464,6 +475,75 @@ TEST(Service, MalformedObservationIsDecidedNotFatal) {
   EXPECT_FALSE(response.result.accepted);
   EXPECT_NE(response.result.reason, core::RejectReason::kNone);
   svc.stop();
+}
+
+// A stored record that fails its CRC is a typed refusal for that name
+// only: open() checks just the header and name index, so the damage
+// surfaces at materialize time inside the worker, which must answer it
+// and keep serving the other names.
+TEST(Service, CorruptStoredRecordIsTypedNotFatal) {
+  const Enrolled& f = fixture();
+  const std::string path = "test_service_corrupt_" +
+                           std::to_string(static_cast<long>(::getpid())) +
+                           ".p2mdl";
+  {
+    core::UserRegistry registry;
+    for (std::uint32_t i = 0; i < 2; ++i) {
+      core::EnrolledUser copy = f.user;
+      copy.user_id = 100 + i;
+      registry.add("user" + std::to_string(i), std::move(copy));
+    }
+    io::save_user_registry_binary_file(registry, path);
+  }
+  std::vector<std::uint8_t> bytes;
+  {
+    std::ifstream in(path, std::ios::binary);
+    bytes.assign(std::istreambuf_iterator<char>(in), {});
+  }
+  bool flipped = false;
+  for (const auto& entry : io::detail::parse_registry_layout(bytes).entries) {
+    if (entry.name != "user1") continue;
+    bytes.at(entry.offset + entry.len / 2) ^= 0x5a;
+    flipped = true;
+  }
+  ASSERT_TRUE(flipped);
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(reinterpret_cast<const char*>(bytes.data()),
+              static_cast<std::streamsize>(bytes.size()));
+  }
+  auto source = std::make_shared<MappedRegistrySource>(
+      std::vector<std::string>{path});
+  std::remove(path.c_str());  // the open mapping keeps the bytes alive
+
+  ServiceOptions options;
+  options.workers = 1;
+  options.max_batch = 4;
+  AuthService svc(source, options);
+  const core::Observation obs = f.fresh_observation(91);
+  const std::uint64_t expected =
+      decision_checksum(core::authenticate(f.user, obs));
+  std::vector<std::future<AuthResponse>> futures;
+  for (std::uint64_t i = 0; i < 4; ++i) {
+    AuthRequest request = named_request(i, "user" + std::to_string(i % 2));
+    request.observation = obs;
+    futures.push_back(svc.submit(std::move(request)));
+  }
+  for (std::uint64_t i = 0; i < futures.size(); ++i) {
+    const AuthResponse response = futures[i].get();
+    if (i % 2 == 1) {
+      EXPECT_EQ(response.status, RequestStatus::kModelUnavailable);
+      continue;
+    }
+    ASSERT_EQ(response.status, RequestStatus::kOk);
+    EXPECT_EQ(decision_checksum(response.result), expected);
+  }
+  svc.stop();
+  const ServiceStats stats = svc.stats();
+  EXPECT_EQ(stats.model_unavailable, 2u);
+  EXPECT_EQ(stats.completed, 2u);
+  EXPECT_STREQ(to_string(RequestStatus::kModelUnavailable),
+               "model_unavailable");
 }
 
 // ---------------------------------------------------------------------
