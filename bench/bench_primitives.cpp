@@ -156,9 +156,9 @@ int run_quick_transform_throughput(std::optional<backend::Isa> requested) {
   }
 
   // The gated three-engine comparison runs with dispatch forced to the
-  // scalar backend, which has no explicit SIMD, so
-  // fast_vs_reference_speedup / batch_speedup measure the algorithmic
-  // win alone and stay comparable across hosts whatever SIMD they have.
+  // scalar table, the baseline-ISA width-2 build that every host runs,
+  // so fast_vs_reference_speedup / batch_speedup stay comparable across
+  // hosts whatever wider SIMD they have.
   backend::force_isa(backend::Isa::kScalar);
 
   // Warm every engine (thread scratches, pool threads) before timing.

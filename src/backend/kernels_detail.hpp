@@ -1,26 +1,28 @@
-// Internal building blocks shared by the per-ISA kernel translation
-// units.  Everything here is scalar code with the exact per-element
-// floating-point operation order of the bit-identity contract: the SIMD
-// TUs use these helpers for edge regions and vector-width tails, and the
-// scalar TU (plus the ISAs that do not accelerate a given kernel) uses
-// them wholesale.  The conv_ppv helpers (tap shifts, bias groups, ranked
-// emission) are plumbing every backend shares.  Not installed API —
-// include only from src/backend.
+// Scalar building blocks shared by the kernel translation units, in the
+// exact per-element floating-point operation order of the bit-identity
+// contract: the vector kernels (kernels_vec.hpp) use them for edge
+// regions and vector-width tails, and the conv_ppv helpers
+// (tap shifts, bias groups) are plumbing every table shares.
+//
+// Everything here has internal linkage.  Each kernel TU is compiled with
+// its own -m flags, so an inline function with external linkage could be
+// emitted with AVX-512 instructions in one TU and the linker could keep
+// that copy for the baseline table too.  Not installed API — include
+// only from src/backend (tests use striped_dot and scalar_axpy as
+// oracles).
 #pragma once
 
 #include <algorithm>
 #include <cstddef>
-#include <cstdint>
 #include <type_traits>
 
-#include "backend/policy.hpp"
-
 namespace p2auth::backend::detail {
+namespace {
 
 // ---------------------------------------------------------------------
 // Shift partitions.  An element is "interior" when its whole receptive
 // field lies inside the series; edges are handled by guarded scalar
-// loops in every backend so vector loops never read past the series.
+// loops so vector loops never read past the series.
 // ---------------------------------------------------------------------
 
 struct Partition {
@@ -115,9 +117,9 @@ inline TapShifts conv_ppv_shifts(int k0, int k1, int k2, long long d,
 }
 
 // Calls fn(std::integral_constant<int, kB>{}, t) for consecutive groups of
-// a combo's sorted biases starting at index t: full groups of eight, then
-// one group of the remaining 1-7.  The SIMD backends thus count every
-// bias count in register blocks whose width is a compile-time constant.
+// a combo's biases starting at index t: full groups of eight, then one
+// group of the remaining 1-7.  conv_ppv thus counts against every bias in
+// register blocks whose width is a compile-time constant.
 template <typename Fn>
 inline void for_each_bias_group(std::size_t bpc, Fn&& fn) {
   std::size_t t = 0;
@@ -131,14 +133,6 @@ inline void for_each_bias_group(std::size_t bpc, Fn&& fn) {
     case 6: fn(std::integral_constant<int, 6>{}, t); break;
     case 7: fn(std::integral_constant<int, 7>{}, t); break;
     default: break;
-  }
-}
-
-// Emits per-sorted-bias counts in original quantile order.
-inline void emit_ranked(const std::size_t* counts, const std::uint32_t* rank,
-                        std::size_t bpc, double inv_n, double* out) noexcept {
-  for (std::size_t q = 0; q < bpc; ++q) {
-    out[q] = static_cast<double>(counts[rank[q]]) * inv_n;
   }
 }
 
@@ -168,4 +162,5 @@ inline void scalar_axpy(double alpha, const double* x, double* y,
   for (std::size_t i = 0; i < n; ++i) y[i] += alpha * x[i];
 }
 
+}  // namespace
 }  // namespace p2auth::backend::detail

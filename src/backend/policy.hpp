@@ -1,8 +1,9 @@
 // Per-kernel function-pointer dispatch for the SIMD backends.
 //
-// Each instruction-set backend is one translation unit compiled with
-// exactly the `-m` flags it needs (kernels_avx2.cpp with -mavx2, ...),
-// exposing one immutable KernelTable.  Dispatch is resolved once at
+// Each table is one translation unit compiled with exactly the `-m`
+// flags it needs (kernels_avx2.cpp with -mavx2, ...), exposing one
+// immutable KernelTable; most kernels are one width-templated source,
+// kernels_vec.hpp, instantiated per table.  Dispatch is resolved once at
 // first use from, in priority order:
 //
 //   1. a process-local force_isa() override (tests, ops tooling);
@@ -13,17 +14,17 @@
 //      supported by the host CPU.
 //
 // Bit-identity contract: every table produces bit-identical results to
-// the scalar table (and hence to `ml::minirocket::reference`) under
-// exact double comparison.  The stored convolution kernels keep the
-// reference's per-element floating-point operation order and never
-// contract multiply-adds; conv_ppv produces integer counts; the dot product
-// follows a fixed width-4 stripe accumulation order that every backend —
-// scalar included — implements identically.  The differential test
-// suites enforce this for every table compiled into the binary.
+// `ml::minirocket::reference` and to the plain-loop dot/axpy of
+// kernels_detail.hpp under exact double comparison.  The stored
+// convolution kernels keep the reference's per-element floating-point
+// operation order and never contract multiply-adds; conv_ppv produces
+// integer counts; the dot product follows a fixed width-4 stripe
+// accumulation order that every backend — scalar included — implements
+// identically.  The differential test suites enforce this for every
+// table compiled into the binary.
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <optional>
 #include <span>
 #include <vector>
@@ -45,23 +46,11 @@ using KernelConvFn = void (*)(const double* x, long long n,
                               const double* sum9, int k0, int k1, int k2,
                               long long d, double* conv);
 
-// One combo's biases as conv_ppv reads them, indexed once per model by
-// MiniRocket: `sorted` holds them ascending, padded with +inf sentinels
-// to 2^steps - 1 slots (the scalar backend's fixed-step binary search),
-// and rank[q] is the sorted position of original quantile q.
-struct ComboBiases {
-  const double* sorted = nullptr;
-  const std::uint32_t* rank = nullptr;
-  std::size_t count = 0;  // biases per combo
-  std::size_t steps = 0;  // 2^steps - 1 >= count
-};
-
 // Fused kernel completion and PPV pooling for one combo.  Each element's
 // response v = -sum9[i] + x3[i+sa] + x3[i+sb] + x3[i+sc] (sa < sb < sc the
 // shifts (k-4)*d of the kernel's +2 taps; x3 = 3.0*x) is formed in
-// registers and counted against every bias; the response is never
-// stored.  out[q] = (#i with v > bias q) * inv_n in original quantile
-// order; `counts` is scratch for biases.count + 1 tallies.
+// registers and counted against each of the combo's `count` biases; the
+// response is never stored.  out[q] = (#i with v > biases[q]) * inv_n.
 //
 // Buffer contract: x3 points at element 0 of a buffer that is readable
 // and holds 0.0 on [-n, 0) and [n, 2n + kConvPpvSlack), and sum9 holds NaN
@@ -73,17 +62,12 @@ struct ComboBiases {
 // compares false against every bias and is never counted.
 using ConvPpvFn = void (*)(const double* x3, const double* sum9, long long n,
                            int k0, int k1, int k2, long long d,
-                           const ComboBiases& biases, double inv_n,
-                           std::size_t* counts, double* out);
+                           const double* biases, std::size_t count,
+                           double inv_n, double* out);
 
 // Slack past n that conv_ppv reads in sum9 and (past 2n) in x3: one
 // vector of the widest backend.
 inline constexpr std::size_t kConvPpvSlack = 8;
-
-// Widest supported binary search in the scalar conv_ppv (20 steps cover
-// over a million biases per combo, three orders of magnitude beyond any
-// realistic feature budget).
-inline constexpr std::size_t kMaxPpvSearchSteps = 20;
 
 // Width-4 striped dot product: four independent accumulators over
 // 4-element blocks (acc_l += a[i+l]*b[i+l], multiply then add, never

@@ -56,7 +56,6 @@ MiniRocket MiniRocket::from_parts(MiniRocketOptions options,
                                  "MiniRocket::from_parts: non-finite bias");
     }
   }
-  rocket.build_bias_index();
   return rocket;
 }
 
@@ -213,8 +212,8 @@ Series dilated_convolution(std::span<const double> x,
 // Fast path.
 //
 // The hot kernels (nine-tap sliding sum, kernel completion, fused
-// conv+PPV) live in src/backend as per-ISA translation units; this file
-// only drives them through the runtime-dispatched KernelTable.  Per
+// conv+PPV) live in src/backend, one per-ISA table each; this file only
+// drives them through the runtime-dispatched KernelTable.  Per
 // (series, dilation), the nine-tap sliding sum is computed once into
 // scratch, then conv_ppv completes and pools each of the 84 kernels in
 // registers (max pooling stores each response through kernel_conv).
@@ -242,32 +241,21 @@ const double* prepare_series(const double* x, std::size_t n,
 
 }  // namespace
 
-void TransformScratch::reserve(std::size_t input_length,
-                               std::size_t biases_per_combo) {
+void TransformScratch::reserve(std::size_t input_length) {
   // Grow-only: buffers keep their high-water size, so a warm scratch
   // never reallocates and the gauge below only fires on growth.
-  bool grew = false;
-  if (conv.size() < input_length) {
-    x3.resize(3 * input_length + backend::kConvPpvSlack);
-    sum9.resize(input_length + backend::kConvPpvSlack);
-    conv.resize(input_length);
-    sorted.resize(input_length);
-    grew = true;
-  }
-  // +1: the scalar conv_ppv histogram has one bucket per "number of
-  // sorted biases below the element" outcome, 0..biases_per_combo.
-  if (counts.size() < biases_per_combo + 1) {
-    counts.resize(biases_per_combo + 1);
-    grew = true;
-  }
-  if (grew) obs::set_gauge("minirocket.scratch_bytes", bytes());
+  if (conv.size() >= input_length) return;
+  x3.resize(3 * input_length + backend::kConvPpvSlack);
+  sum9.resize(input_length + backend::kConvPpvSlack);
+  conv.resize(input_length);
+  sorted.resize(input_length);
+  obs::set_gauge("minirocket.scratch_bytes", bytes());
 }
 
 std::size_t TransformScratch::bytes() const noexcept {
   return (x3.capacity() + sum9.capacity() + conv.capacity() +
           sorted.capacity()) *
-             sizeof(double) +
-         counts.capacity() * sizeof(std::size_t);
+         sizeof(double);
 }
 
 TransformScratch& thread_transform_scratch() noexcept {
@@ -311,7 +299,6 @@ void MiniRocket::fit(const std::vector<Series>& train, util::Rng& rng) {
     // but biases_ doubles as the "fitted" flag, so keep one slot each.
     biases_per_combo_ = 1;
     biases_.assign(combos, 0.0);
-    build_bias_index();
     return;
   }
   biases_per_combo_ =
@@ -333,7 +320,7 @@ void MiniRocket::fit(const std::vector<Series>& train, util::Rng& rng) {
   // transform path uses; their outputs are bit-identical to the old
   // per-kernel materialization, so fitted biases are unchanged.
   TransformScratch& scratch = thread_transform_scratch();
-  scratch.reserve(input_length_, biases_per_combo_);
+  scratch.reserve(input_length_);
   const backend::KernelTable& kt = backend::kernels();
   const auto n = static_cast<long long>(input_length_);
   for (std::size_t di = 0; di < dilations_.size(); ++di) {
@@ -359,55 +346,6 @@ void MiniRocket::fit(const std::vector<Series>& train, util::Rng& rng) {
       }
     }
   }
-  build_bias_index();
-}
-
-void MiniRocket::build_bias_index() {
-  if (options_.pooling != Pooling::kPpv) {
-    sorted_biases_.clear();
-    bias_rank_.clear();
-    bias_search_steps_ = 0;
-    bias_pad_stride_ = 0;
-    return;
-  }
-  // Pad every combo to 2^steps - 1 slots so the scalar conv_ppv can run a
-  // fixed number of search steps; +inf sentinels never compare < any
-  // probe, so they are invisible to the counts.
-  bias_search_steps_ = 1;
-  while (((std::size_t{1} << bias_search_steps_) - 1) < biases_per_combo_) {
-    ++bias_search_steps_;
-  }
-  // The scalar conv_ppv dispatches on the step count; a wider
-  // search could only come from an absurd feature budget or a corrupted
-  // model stream, and silently indexing past the dispatch range in the
-  // backend would be an out-of-bounds read.
-  if (bias_search_steps_ > backend::kMaxPpvSearchSteps) {
-    throw std::invalid_argument(
-        "MiniRocket: biases_per_combo exceeds the supported maximum");
-  }
-  bias_pad_stride_ = (std::size_t{1} << bias_search_steps_) - 1;
-  const std::size_t combos = biases_.size() / biases_per_combo_;
-  sorted_biases_.assign(combos * bias_pad_stride_,
-                        std::numeric_limits<double>::infinity());
-  bias_rank_.assign(biases_.size(), 0);
-  std::vector<std::uint32_t> order(biases_per_combo_);
-  for (std::size_t combo = 0; combo < combos; ++combo) {
-    const double* b = biases_.data() + combo * biases_per_combo_;
-    for (std::size_t q = 0; q < biases_per_combo_; ++q) {
-      order[q] = static_cast<std::uint32_t>(q);
-    }
-    // Ties get arbitrary-but-stable positions; equal biases have equal
-    // counts, so any tie order produces the same features.
-    std::stable_sort(order.begin(), order.end(),
-                     [&](std::uint32_t x, std::uint32_t y) {
-                       return b[x] < b[y];
-                     });
-    for (std::size_t t = 0; t < biases_per_combo_; ++t) {
-      sorted_biases_[combo * bias_pad_stride_ + t] = b[order[t]];
-      bias_rank_[combo * biases_per_combo_ + order[t]] =
-          static_cast<std::uint32_t>(t);
-    }
-  }
 }
 
 std::size_t MiniRocket::num_features() const noexcept {
@@ -424,7 +362,7 @@ void MiniRocket::transform_into(std::span<const double> x,
   if (out.size() != num_features()) {
     throw std::invalid_argument("MiniRocket::transform: bad output size");
   }
-  scratch.reserve(input_length_, biases_per_combo_);
+  scratch.reserve(input_length_);
   const backend::KernelTable& kt = backend::kernels();
   const auto n = static_cast<long long>(input_length_);
   const std::size_t num_dilations = dilations_.size();
@@ -447,13 +385,9 @@ void MiniRocket::transform_into(std::span<const double> x,
         row[combo] = peak;
         continue;
       }
-      const backend::ComboBiases biases{
-          sorted_biases_.data() + combo * bias_pad_stride_,
-          bias_rank_.data() + combo * biases_per_combo_, biases_per_combo_,
-          bias_search_steps_};
-      kt.conv_ppv(x3, scratch.sum9.data(), n, k[0], k[1], k[2], d, biases,
-                  inv_n, scratch.counts.data(),
-                  row + combo * biases_per_combo_);
+      kt.conv_ppv(x3, scratch.sum9.data(), n, k[0], k[1], k[2], d,
+                  biases_.data() + combo * biases_per_combo_,
+                  biases_per_combo_, inv_n, row + combo * biases_per_combo_);
     }
   }
 }

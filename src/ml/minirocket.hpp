@@ -35,7 +35,6 @@
 #pragma once
 
 #include <array>
-#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -55,9 +54,11 @@ enum class Pooling {
 };
 
 struct MiniRocketOptions {
-  // Target total feature count; the realised count is the nearest multiple
-  // of (84 * num_dilations).  Ignored for kMax pooling (one feature per
-  // kernel-dilation combo).
+  // Target total feature count.  The realised count is the target rounded
+  // *up* to a multiple of (84 * num_dilations): at 7 dilations (588
+  // combos) a 2499 target gives 5 biases per combo, 2940 features, so the
+  // paper's 9996 split over 4 channels realises 11,760.  Ignored for kMax
+  // pooling (one feature per kernel-dilation combo).
   std::size_t num_features = 9996;
   // Cap on the number of dilations (the input length may allow fewer).
   std::size_t max_dilations = 32;
@@ -84,12 +85,10 @@ struct TransformScratch {
   Series sum9;    // nine-tap sliding sum for one dilation (+ NaN slack)
   Series conv;    // one stored kernel response (fit quantiles, max pooling)
   Series sorted;  // fit-time sorted-quantile workspace
-  std::vector<std::size_t> counts;  // conv_ppv tallies (one per quantile)
 
-  // Grows the buffers to serve series of `input_length` with
-  // `biases_per_combo` quantiles; no-op (and allocation-free) when they
-  // already suffice.
-  void reserve(std::size_t input_length, std::size_t biases_per_combo);
+  // Grows the buffers to serve series of `input_length`; no-op (and
+  // allocation-free) when they already suffice.
+  void reserve(std::size_t input_length);
   // Current heap footprint of the buffers, for the
   // `minirocket.scratch_bytes` gauge.
   std::size_t bytes() const noexcept;
@@ -147,8 +146,7 @@ class MiniRocket {
   // already-parsed parts — the entry point of the model-store reader in
   // src/io/.  Validates the shape invariants (dilation positivity, finite
   // biases, kernel-count consistency) and throws util::SerializeError on
-  // any inconsistency; on success rebuilds the derived PPV counting index
-  // exactly as fit does.
+  // any inconsistency.
   static MiniRocket from_parts(MiniRocketOptions options,
                                std::size_t input_length,
                                std::vector<int> dilations,
@@ -156,20 +154,6 @@ class MiniRocket {
                                std::vector<double> biases);
 
  private:
-  // Derived PPV counting index (not stored; rebuilt by fit/from_parts),
-  // handed to backend::ConvPpvFn as one ComboBiases per combo.  The SIMD
-  // backends count each response against the combo's *sorted* biases in
-  // register blocks; the scalar backend ranks it by binary search,
-  // O(n log q) instead of the scan's O(n q).  Either way the
-  // per-sorted-position counts map back through `bias_rank_`; counts are
-  // exact integers, so the features stay bit-identical to the scan.
-  //
-  // Each combo's sorted biases are padded to a power-of-two-minus-one
-  // stride with +inf sentinels so the search runs a fixed, compile-time
-  // number of conditional-move steps (branch-free: sentinels compare
-  // false against every probe, including +inf and NaN).
-  void build_bias_index();
-
   MiniRocketOptions options_;
   std::size_t input_length_ = 0;
   std::vector<int> dilations_;
@@ -177,13 +161,6 @@ class MiniRocket {
   // biases_[combo * biases_per_combo_ + q] where combo = kernel-major
   // (kernel index * num_dilations + dilation index).
   std::vector<double> biases_;
-  // Per-combo ascending biases (stride `bias_pad_stride_`, +inf padded)
-  // and the original-q -> sorted-position map (stride biases_per_combo_).
-  std::vector<double> sorted_biases_;
-  std::vector<std::uint32_t> bias_rank_;
-  // Search geometry: bias_pad_stride_ = 2^bias_search_steps_ - 1 >= bpc.
-  std::size_t bias_search_steps_ = 0;
-  std::size_t bias_pad_stride_ = 0;
 };
 
 // Multi-channel convenience wrapper: one independent MiniRocket per

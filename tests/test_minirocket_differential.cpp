@@ -17,6 +17,7 @@
 #include <atomic>
 #include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
 #include <limits>
 #include <new>
@@ -150,14 +151,17 @@ MiniRocket fitted_model(std::size_t length, Pooling pooling,
   return model;
 }
 
-// Exact (bit-level) equality; EXPECT_EQ on doubles is exact already, but
-// spell the contract out and report the first diverging index.
+// Exact equality of bit patterns, so a -0.0 feature where the reference
+// has +0.0 (max pooling of a signed-zero response) is a divergence and a
+// NaN matches only its own representation; reports the first diverging
+// index.
 void expect_bit_identical(std::span<const double> fast,
                           std::span<const double> ref,
                           const std::string& context) {
   ASSERT_EQ(fast.size(), ref.size()) << context;
   for (std::size_t i = 0; i < fast.size(); ++i) {
-    if (fast[i] != ref[i]) {
+    if (std::bit_cast<std::uint64_t>(fast[i]) !=
+        std::bit_cast<std::uint64_t>(ref[i])) {
       // Double-format round trip so divergences print with full precision.
       std::ostringstream msg;
       msg.precision(17);
@@ -240,19 +244,6 @@ TEST(MiniRocketDifferential, BatchMatchesReferenceAcrossThreadCounts) {
   }
 }
 
-// Same bits, compared as bit patterns so NaN features (max pooling of a
-// NaN series) count as equal only when their representations are.
-void expect_same_bits(std::span<const double> got,
-                      std::span<const double> want,
-                      const std::string& context) {
-  ASSERT_EQ(got.size(), want.size()) << context;
-  for (std::size_t i = 0; i < got.size(); ++i) {
-    ASSERT_EQ(std::bit_cast<std::uint64_t>(got[i]),
-              std::bit_cast<std::uint64_t>(want[i]))
-        << context << ": feature " << i;
-  }
-}
-
 // The multi-channel batch (one task per sample) against the per-sample
 // transform_into it is built from, on every backend, at 1 and 4 threads,
 // with NaN, +/-inf and -0.0 planted in one channel of some samples.
@@ -304,9 +295,9 @@ TEST(MiniRocketDifferential, MultiChannelBatchMatchesTransformInto) {
         const linalg::Matrix got = model.transform(batch, threads);
         ASSERT_EQ(got.rows(), want.rows());
         for (std::size_t r = 0; r < want.rows(); ++r) {
-          expect_same_bits(got.row(r), want.row(r),
-                           where + " threads=" + std::to_string(threads) +
-                               " row=" + std::to_string(r));
+          expect_bit_identical(got.row(r), want.row(r),
+                               where + " threads=" + std::to_string(threads) +
+                                   " row=" + std::to_string(r));
         }
       }
     }
@@ -357,14 +348,22 @@ TEST(MiniRocketDifferential, NonFiniteInputsAgreeWithReference) {
       // diverges from the interior loop.
       x[0] = std::numeric_limits<double>::quiet_NaN();
       x[89] = -std::numeric_limits<double>::infinity();
-      const linalg::Vector fast = model.transform(x);
-      const linalg::Vector ref = reference::transform(model, x);
-      ASSERT_EQ(fast.size(), ref.size());
-      for (std::size_t i = 0; i < fast.size(); ++i) {
-        // NaN != NaN, so compare representations.
-        const bool same =
-            (fast[i] == ref[i]) || (std::isnan(fast[i]) && std::isnan(ref[i]));
-        ASSERT_TRUE(same) << backend::isa_name(isa) << " feature " << i;
+      // Signed zeros: a max-pooled feature keeps the sign of its first
+      // zero response, which an edge tap added as +0.0 instead of skipped
+      // would flip.
+      Series signed_zeros = random_series(90, rng);
+      for (std::size_t i = 0; i < 90; i += 2) signed_zeros[i] = -0.0;
+      for (const Series& xs : {x, signed_zeros, Series(90, -0.0)}) {
+        const linalg::Vector fast = model.transform(xs);
+        const linalg::Vector ref = reference::transform(model, xs);
+        ASSERT_EQ(fast.size(), ref.size());
+        for (std::size_t i = 0; i < fast.size(); ++i) {
+          // NaN != NaN, so compare representations.
+          const bool same = std::bit_cast<std::uint64_t>(fast[i]) ==
+                                std::bit_cast<std::uint64_t>(ref[i]) ||
+                            (std::isnan(fast[i]) && std::isnan(ref[i]));
+          ASSERT_TRUE(same) << backend::isa_name(isa) << " feature " << i;
+        }
       }
     }
   }

@@ -3,9 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iterator>
+#include <limits>
 #include <set>
 #include <string>
 #include <utility>
+#include <vector>
 
 namespace p2auth::keystroke {
 namespace {
@@ -161,6 +164,23 @@ TEST(RecordedIndices, ConvertsAndClamps) {
   EXPECT_EQ(idx[0], 50u);
   EXPECT_EQ(idx[1], 199u);  // clamped to last sample
   EXPECT_THROW(recorded_indices(e, 0.0, 100), std::invalid_argument);
+
+  // Non-finite and huge times clamp into the trace instead of reaching an
+  // undefined float-to-integer conversion (the UBSan CI leg checks this).
+  const double kInf = std::numeric_limits<double>::infinity();
+  const double times[] = {kInf, -kInf, std::numeric_limits<double>::quiet_NaN(),
+                          1e300, -1e300};
+  const std::size_t want[] = {199, 0, 0, 199, 0};
+  e.events.assign(std::size(times), KeystrokeEvent{});
+  for (std::size_t i = 0; i < std::size(times); ++i) {
+    e.events[i].recorded_time_s = times[i];
+  }
+  const auto wild = recorded_indices(e, 100.0, 200);
+  ASSERT_EQ(wild.size(), std::size(times));
+  for (std::size_t i = 0; i < wild.size(); ++i) {
+    EXPECT_EQ(wild[i], want[i]) << "time " << times[i];
+  }
+  EXPECT_EQ(recorded_indices(e, 100.0, 0), std::vector<std::size_t>(5, 0));
 }
 
 }  // namespace
