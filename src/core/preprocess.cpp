@@ -203,10 +203,8 @@ PreprocessedEntry preprocess_entry(const Observation& observation,
   out.reference_channel_used = options.reference_channel;
 
   // 1.0 Channel-health gating: score every channel; mask the unusable
-  // ones so one bad channel never poisons the attempt.  With gating off
-  // the legacy strict contract applies instead: a corrupted sensor stream
-  // must never silently reach the classifier.
-  if (options.gate_channels) {
+  // ones so one bad channel never poisons the attempt.
+  {
     const obs::Span stage("preprocess.channel_gating", "core");
     out.health = assess_channels(trace, options.quality);
     if (!out.health.any_usable()) {
@@ -219,15 +217,6 @@ PreprocessedEntry preprocess_entry(const Observation& observation,
     }
     out.reference_channel_used =
         pick_reference_channel(out.health, options.reference_channel);
-  } else {
-    for (const Series& ch : trace.channels) {
-      for (const double v : ch) {
-        if (!std::isfinite(v)) {
-          throw std::invalid_argument(
-              "preprocess_entry: non-finite sample in trace");
-        }
-      }
-    }
   }
 
   // 1.1 Noise Removal: median filter per channel.  Masked channels are
@@ -239,12 +228,11 @@ PreprocessedEntry preprocess_entry(const Observation& observation,
         scaled(options.median_window_100hz, rate, /*keep_odd=*/true);
     out.filtered.reserve(trace.num_channels());
     for (std::size_t c = 0; c < trace.num_channels(); ++c) {
-      if (!out.health.channels.empty() && !out.health.channels[c].usable) {
+      if (!out.health.channels[c].usable) {
         out.filtered.emplace_back(trace.length(), 0.0);
         continue;
       }
-      if (!out.health.channels.empty() &&
-          out.health.channels[c].nan_rate > 0.0) {
+      if (out.health.channels[c].nan_rate > 0.0) {
         // Usable despite stray non-finite samples (a raised max_nan_rate):
         // hold-repair them so the filter chain only ever sees finite data.
         Series repaired = trace.channels[c];

@@ -39,11 +39,9 @@ struct PreprocessOptions {
   // healthiest surviving channel substitutes (PreprocessedEntry reports
   // which channel was actually used).
   std::size_t reference_channel = 0;
-  // Degraded-sensor resilience: score every channel's health and mask
-  // unusable ones (zeroed, never filtered) instead of aborting the whole
-  // attempt.  With gating off the legacy strict contract applies: any
-  // non-finite sample throws std::invalid_argument.
-  bool gate_channels = true;
+  // Degraded-sensor resilience: every channel's health is scored and
+  // unusable ones are masked (zeroed, never filtered) instead of aborting
+  // the whole attempt.
   QualityOptions quality{};
 };
 
@@ -63,7 +61,7 @@ struct PreprocessedEntry {
   // the watch-wearing hand?
   std::vector<bool> keystroke_present;
   DetectedCase detected_case = DetectedCase::kRejected;
-  // Channel-health gating outcome (empty when gate_channels was off).
+  // Channel-health gating outcome, one entry per channel.
   ChannelHealth health;
   // Reference channel actually used after gating (== the configured one
   // unless it was masked).

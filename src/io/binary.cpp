@@ -8,7 +8,6 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
-#include <istream>
 #include <ostream>
 #include <stdexcept>
 #include <string>
@@ -103,12 +102,11 @@ void write_waveform_model(ByteWriter& w, const core::WaveformModel& model) {
   write_ridge_section(w, model.ridge());
 }
 
-void write_file_header(ByteWriter& w, FileKind kind,
-                       std::uint64_t record_count,
+void write_file_header(ByteWriter& w, std::uint64_t record_count,
                        std::uint64_t index_offset) {
   w.bytes(kMagic, sizeof(kMagic));
   w.u32(kFormatVersion);
-  w.u32(static_cast<std::uint32_t>(kind));
+  w.u32(static_cast<std::uint32_t>(FileKind::kUserRegistry));
   w.u64(record_count);
   w.u64(index_offset);
   w.u64(0);  // reserved
@@ -153,8 +151,6 @@ void write_all(std::ostream& os, std::span<const std::uint8_t> bytes) {
 // ---- parsing ----------------------------------------------------------
 
 struct FileHeaderInfo {
-  std::uint32_t version = 0;
-  FileKind kind = FileKind::kEnrolledUser;
   std::uint64_t record_count = 0;
   std::uint64_t index_offset = 0;
 };
@@ -175,18 +171,15 @@ FileHeaderInfo parse_file_header(std::span<const std::uint8_t> header) {
   ByteReader r(header.subspan(sizeof(kMagic),
                               kFileHeaderBytes - sizeof(kMagic)),
                "file header");
-  FileHeaderInfo info;
-  info.version = r.u32();
-  if (info.version != kFormatVersion) {
+  const std::uint32_t version = r.u32();
+  if (version != kFormatVersion) {
     fail(SerializeErrc::kVersionSkew,
-         "unsupported format version " + std::to_string(info.version));
+         "unsupported format version " + std::to_string(version));
   }
-  const std::uint32_t kind = r.u32();
-  if (kind != static_cast<std::uint32_t>(FileKind::kUserRegistry) &&
-      kind != static_cast<std::uint32_t>(FileKind::kEnrolledUser)) {
+  if (r.u32() != static_cast<std::uint32_t>(FileKind::kUserRegistry)) {
     fail(SerializeErrc::kBadShape, "unknown file kind");
   }
-  info.kind = static_cast<FileKind>(kind);
+  FileHeaderInfo info;
   info.record_count = r.u64();
   info.index_offset = r.u64();
   return info;
@@ -285,18 +278,31 @@ MappedWaveformModel parse_waveform_model(ByteReader& r,
   return model;
 }
 
-}  // namespace
-
-double MappedRidge::decision(std::span<const double> features) const {
-  if (features.size() != weights.size()) {
-    throw std::invalid_argument("MappedRidge::decision: size mismatch");
+// Checks the CRC trailer alone.  Throws util::SerializeError on
+// truncation, a bad trailer tag, or a checksum mismatch.
+void verify_record_crc(std::span<const std::uint8_t> record) {
+  if (record.size() < kSectionHeaderBytes + kRecordTrailerBytes) {
+    fail(SerializeErrc::kTruncated, "record shorter than header + trailer");
   }
-  double acc = 0.0;
-  for (std::size_t i = 0; i < weights.size(); ++i) {
-    acc += weights[i] * features[i];
+  ByteReader t(record.last(kRecordTrailerBytes), "record trailer");
+  if (t.u32() != kTagCrcTrailer) {
+    fail(SerializeErrc::kBadTag, "missing CRC trailer");
   }
-  return acc + bias;
+  const std::uint32_t stored = t.u32();
+  // The trailer's reserved tail is the only record region the CRC does
+  // not cover; validate it explicitly so no byte of a record can flip
+  // undetected.
+  if (t.u64() != 0) {
+    fail(SerializeErrc::kBadValue, "nonzero trailer reserved bytes");
+  }
+  const std::uint32_t computed =
+      crc32(record.first(record.size() - kRecordTrailerBytes));
+  if (stored != computed) {
+    fail(SerializeErrc::kBadCrc, "record checksum mismatch");
+  }
 }
+
+}  // namespace
 
 std::vector<std::uint8_t> build_user_record(const core::EnrolledUser& user) {
   require_little_endian();
@@ -344,30 +350,7 @@ std::vector<std::uint8_t> build_user_record(const core::EnrolledUser& user) {
   return std::move(w.buffer());
 }
 
-void verify_record_crc(std::span<const std::uint8_t> record) {
-  if (record.size() < kSectionHeaderBytes + kRecordTrailerBytes) {
-    fail(SerializeErrc::kTruncated, "record shorter than header + trailer");
-  }
-  ByteReader t(record.last(kRecordTrailerBytes), "record trailer");
-  if (t.u32() != kTagCrcTrailer) {
-    fail(SerializeErrc::kBadTag, "missing CRC trailer");
-  }
-  const std::uint32_t stored = t.u32();
-  // The trailer's reserved tail is the only record region the CRC does
-  // not cover; validate it explicitly so no byte of a record can flip
-  // undetected.
-  if (t.u64() != 0) {
-    fail(SerializeErrc::kBadValue, "nonzero trailer reserved bytes");
-  }
-  const std::uint32_t computed =
-      crc32(record.first(record.size() - kRecordTrailerBytes));
-  if (stored != computed) {
-    fail(SerializeErrc::kBadCrc, "record checksum mismatch");
-  }
-}
-
-MappedUser parse_user_record(std::span<const std::uint8_t> record,
-                             bool verify_crc) {
+MappedUser parse_user_record(std::span<const std::uint8_t> record) {
   require_little_endian();
   if (record.size() < kSectionHeaderBytes + kRecordTrailerBytes) {
     fail(SerializeErrc::kTruncated, "record shorter than header + trailer");
@@ -378,7 +361,7 @@ MappedUser parse_user_record(std::span<const std::uint8_t> record,
   // Integrity first: a flipped bit inside the record surfaces as kBadCrc
   // instead of whatever structural error the scrambled bytes happen to
   // produce.
-  if (verify_crc) verify_record_crc(record);
+  verify_record_crc(record);
 
   ByteReader r(record, "user record");
   if (r.u32() != kTagUserRecord) {
@@ -391,7 +374,6 @@ MappedUser parse_user_record(std::span<const std::uint8_t> record,
   const std::size_t body_end = record.size() - kRecordTrailerBytes;
 
   MappedUser user;
-  user.record = record;
   std::uint16_t presence = 0;
   {
     ByteReader p =
@@ -490,15 +472,7 @@ core::EnrolledUser materialize_user(const MappedUser& view) {
   return user;
 }
 
-// ---- eager stream / file round trips ----------------------------------
-
-void save_enrolled_user_binary(const core::EnrolledUser& user,
-                               std::ostream& os) {
-  ByteWriter header;
-  write_file_header(header, FileKind::kEnrolledUser, 1, 0);
-  write_all(os, header.buffer());
-  write_all(os, build_user_record(user));
-}
+// ---- registry store ---------------------------------------------------
 
 namespace {
 
@@ -551,93 +525,15 @@ void replace_file(const std::string& path, Write&& write) {
   }
 }
 
-// Bytes left between the stream's current position and its end, when
-// the stream is seekable (files, stringstreams); nullopt otherwise.
-std::optional<std::uint64_t> remaining_bytes(std::istream& is) {
-  // tellg on an unseekable stream returns -1 without touching the
-  // stream state, so the seekg round trip below only runs when seeking
-  // is actually supported.
-  const std::streampos pos = is.tellg();
-  if (pos == std::streampos(-1)) return std::nullopt;
-  is.seekg(0, std::ios::end);
-  const std::streampos end = is.tellg();
-  is.seekg(pos);
-  if (end == std::streampos(-1) || end < pos) return std::nullopt;
-  return static_cast<std::uint64_t>(end - pos);
-}
-
-// Reads the rest of a seekable stream into a buffer, bounded by the
-// bytes actually present (never by a length field).
-std::vector<std::uint8_t> slurp(std::istream& is) {
-  const std::optional<std::uint64_t> rem = remaining_bytes(is);
-  if (!rem.has_value()) {
-    fail(SerializeErrc::kIoError,
-         "binary loading requires a seekable stream");
-  }
-  std::vector<std::uint8_t> bytes(static_cast<std::size_t>(*rem));
-  if (!bytes.empty() &&
-      !is.read(reinterpret_cast<char*>(bytes.data()),
-               static_cast<std::streamsize>(bytes.size()))) {
-    fail(SerializeErrc::kIoError, "stream read failed");
-  }
-  return bytes;
-}
-
 }  // namespace
-
-void save_enrolled_user_binary_file(const core::EnrolledUser& user,
-                                    const std::string& path) {
-  replace_file(path, [&](std::ostream& out) {
-    save_enrolled_user_binary(user, out);
-  });
-}
-
-core::EnrolledUser load_enrolled_user_binary(std::istream& is) {
-  const std::vector<std::uint8_t> bytes = slurp(is);
-  const FileHeaderInfo info = parse_file_header(bytes);
-  if (info.kind != FileKind::kEnrolledUser) {
-    fail(SerializeErrc::kBadShape, "not a single-user file");
-  }
-  if (info.record_count != 1) {
-    fail(SerializeErrc::kBadShape, "single-user file must hold one record");
-  }
-  const std::span<const std::uint8_t> record =
-      std::span<const std::uint8_t>(bytes).subspan(kFileHeaderBytes);
-  return materialize_user(parse_user_record(record, /*verify_crc=*/true));
-}
-
-core::EnrolledUser load_enrolled_user_binary_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) fail(SerializeErrc::kIoError, "cannot open " + path);
-  return load_enrolled_user_binary(in);
-}
-
-void save_user_registry_binary(const core::UserRegistry& registry,
-                               std::ostream& os) {
-  std::vector<NameEntry> entries;
-  std::vector<std::vector<std::uint8_t>> records;
-  std::uint64_t offset = kFileHeaderBytes;
-  for (const std::string& name : registry.names()) {
-    const core::EnrolledUser* user = registry.find(name);
-    records.push_back(build_user_record(*user));
-    entries.push_back({offset, records.back().size(), name});
-    offset += records.back().size();
-  }
-  ByteWriter header;
-  write_file_header(header, FileKind::kUserRegistry, entries.size(), offset);
-  write_all(os, header.buffer());
-  for (const auto& record : records) write_all(os, record);
-  write_all(os, build_name_index(entries));
-}
 
 void save_user_registry_binary_file(const core::UserRegistry& registry,
                                     const std::string& path) {
   replace_file(path, [&](std::ostream& out) {
     // Stream record-by-record (one record resident at a time), then
-    // patch the index offset into the header — byte-identical to the
-    // ostream overload without buffering the whole store.
+    // patch the index offset into the header.
     ByteWriter header;
-    write_file_header(header, FileKind::kUserRegistry, registry.size(), 0);
+    write_file_header(header, registry.size(), 0);
     write_all(out, header.buffer());
     std::vector<NameEntry> entries;
     std::uint64_t offset = kFileHeaderBytes;
@@ -661,9 +557,6 @@ void save_user_registry_binary_file(const core::UserRegistry& registry,
 detail::RegistryLayout detail::parse_registry_layout(
     std::span<const std::uint8_t> file) {
   const FileHeaderInfo info = parse_file_header(file);
-  if (info.kind != FileKind::kUserRegistry) {
-    fail(SerializeErrc::kBadShape, "not a registry file");
-  }
   if (info.index_offset < kFileHeaderBytes ||
       info.index_offset % 8 != 0 || info.index_offset > file.size()) {
     fail(SerializeErrc::kBadShape, "index offset out of bounds");
@@ -727,7 +620,6 @@ detail::RegistryLayout detail::parse_registry_layout(
   const std::string_view blob =
       p.str(p.remaining(), "name blob");
   RegistryLayout layout;
-  layout.version = info.version;
   layout.entries.reserve(raw.size());
   std::unordered_set<std::string_view> seen;
   for (const RawEntry& e : raw) {
@@ -754,28 +646,6 @@ detail::RegistryLayout detail::parse_registry_layout(
     layout.entries.push_back({e.hash, e.offset, e.len, name});
   }
   return layout;
-}
-
-core::UserRegistry load_user_registry_binary(std::istream& is) {
-  const std::vector<std::uint8_t> bytes = slurp(is);
-  const detail::RegistryLayout layout = detail::parse_registry_layout(bytes);
-  core::UserRegistry registry;
-  for (const auto& entry : layout.entries) {
-    const std::span<const std::uint8_t> record =
-        std::span<const std::uint8_t>(bytes).subspan(
-            static_cast<std::size_t>(entry.offset),
-            static_cast<std::size_t>(entry.len));
-    registry.add(std::string(entry.name),
-                 materialize_user(
-                     parse_user_record(record, /*verify_crc=*/true)));
-  }
-  return registry;
-}
-
-core::UserRegistry load_user_registry_binary_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) fail(SerializeErrc::kIoError, "cannot open " + path);
-  return load_user_registry_binary(in);
 }
 
 }  // namespace p2auth::io

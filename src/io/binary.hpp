@@ -1,27 +1,25 @@
-// Binary (P2MDL001) persistence of models, users and registries — the
-// only format an enrolled model is stored in.
+// Binary (P2MDL001) persistence of enrolled users — the only format an
+// enrolled model is stored in.
 //
-// Three tiers of access, all sharing one record codec and the typed
+// One writer and one reader, sharing one record codec and the typed
 // util::SerializeError surface:
 //
-//   * save_*/load_* — eager stream/file round trips;
+//   * save_user_registry_binary_file writes a registry store by file
+//     replacement; MappedRegistry (io/mmap_registry.hpp) is the reader;
 //   * build_user_record / parse_user_record / materialize_user — the
-//     record-level building blocks (a record is a self-contained,
-//     CRC-trailed byte string, so the same parser serves buffers read
-//     from a stream and spans into an mmap);
-//   * the Mapped* view structs — zero-copy reads of a record: dilations,
-//     biases and ridge weights are spans pointing straight into the
-//     record bytes (the writer lays them out 8-byte aligned), so a
-//     mapped model can be inspected — and its ridge evaluated — without
-//     parsing or copying the arrays.
+//     record codec.  A record is a self-contained, CRC-trailed byte
+//     string; parse_user_record views it in place and materialize_user
+//     deep-copies the view into an owning EnrolledUser;
+//   * the Mapped* view structs — dilations, biases and ridge weights are
+//     spans pointing straight into the record bytes (the writer lays
+//     them out 8-byte aligned), so a mapped model can be inspected
+//     without copying the arrays.
 //
-// See io/format.hpp for the byte-level layout and io/mmap_registry.hpp
-// for the arena-backed registry built on these records.
+// See io/format.hpp for the byte-level layout.
 #pragma once
 
 #include <array>
 #include <cstdint>
-#include <iosfwd>
 #include <optional>
 #include <span>
 #include <string>
@@ -45,14 +43,11 @@ struct MappedMiniRocket {
   std::span<const double> biases;           // 8-aligned, usable in place
 };
 
-// Ridge weights viewed in place; decision() evaluates w.x + b directly
-// over the mapped span — the no-parse, no-copy scoring path.
+// Ridge parameters viewed in place.
 struct MappedRidge {
   double bias = 0.0;
   double lambda = 0.0;
   std::span<const double> weights;
-
-  double decision(std::span<const double> features) const;
 };
 
 struct MappedWaveformModel {
@@ -64,9 +59,9 @@ struct MappedWaveformModel {
   MappedRidge ridge;
 };
 
-// A structurally validated view over one user record.  Spans and
-// string_views borrow the record bytes: they are valid only while the
-// backing buffer / mapping is alive.
+// A CRC-checked, structurally validated view over one user record.
+// Spans and string_views borrow the record bytes: they are valid only
+// while the backing buffer / mapping is alive.
 struct MappedUser {
   std::string_view pin;
   bool privacy_boost = false;
@@ -75,8 +70,6 @@ struct MappedUser {
   std::optional<MappedWaveformModel> full_model;
   std::optional<MappedWaveformModel> boost_model;
   std::array<std::optional<MappedWaveformModel>, 10> key_models;
-  // The whole record (header..CRC trailer), for deferred verification.
-  std::span<const std::uint8_t> record;
 };
 
 // ---- record codec -----------------------------------------------------
@@ -85,44 +78,28 @@ struct MappedUser {
 // std::logic_error when an engaged model is untrained.
 std::vector<std::uint8_t> build_user_record(const core::EnrolledUser& user);
 
-// Builds a zero-copy view; validates structure and, when `verify_crc`,
-// the integrity trailer first (so flipped bits surface as kBadCrc before
-// any structural decoding).  Throws util::SerializeError.
-MappedUser parse_user_record(std::span<const std::uint8_t> record,
-                             bool verify_crc);
-
-// Checks the CRC trailer alone.  Throws util::SerializeError on
-// truncation, a bad trailer tag, or a checksum mismatch.
-void verify_record_crc(std::span<const std::uint8_t> record);
+// Builds a zero-copy view.  Verifies the integrity trailer first (so
+// flipped bits surface as kBadCrc before any structural decoding), then
+// the structure.  Throws util::SerializeError.
+MappedUser parse_user_record(std::span<const std::uint8_t> record);
 
 // Deep-copies a view into an owning EnrolledUser, rebuilding the derived
 // MiniRocket search index via the from_parts validators.
 core::EnrolledUser materialize_user(const MappedUser& view);
 
-// ---- eager stream / file round trips ----------------------------------
+// ---- registry store ---------------------------------------------------
 
-// The file writers never rewrite a store in place: they write a sibling
-// temp file, fsync it and rename it over `path`, so an open
-// MappedRegistry keeps reading the old generation and a failed write
-// leaves the old file intact.
-void save_enrolled_user_binary(const core::EnrolledUser& user,
-                               std::ostream& os);
-void save_enrolled_user_binary_file(const core::EnrolledUser& user,
-                                    const std::string& path);
-core::EnrolledUser load_enrolled_user_binary(std::istream& is);
-core::EnrolledUser load_enrolled_user_binary_file(const std::string& path);
-
-// Registry writers emit records in name order plus the trailing name
-// index.  The ostream overload assembles the file in memory; the file
-// overload streams record-by-record (constant memory) and back-patches
-// the header, producing byte-identical output.
-void save_user_registry_binary(const core::UserRegistry& registry,
-                               std::ostream& os);
+// Writes the registry's records in name order plus the trailing name
+// index.  The store is never rewritten in place: records stream one at a
+// time into a sibling temp file, which is fsynced and renamed over
+// `path`, so an open MappedRegistry keeps reading the old generation and
+// a failed write leaves the old file intact.  Throws util::SerializeError.
 void save_user_registry_binary_file(const core::UserRegistry& registry,
                                     const std::string& path);
-// Registry loading needs a seekable stream (the name index lives at the
-// tail); non-seekable streams get kIoError.
-core::UserRegistry load_user_registry_binary(std::istream& is);
+
+// Eagerly loads a whole store into memory (UserRegistry::identify needs
+// every user resident): MappedRegistry::open, then materialize each name.
+// Throws util::SerializeError.
 core::UserRegistry load_user_registry_binary_file(const std::string& path);
 
 }  // namespace p2auth::io

@@ -1,5 +1,7 @@
-// Internal helpers shared by the eager binary loader and MappedRegistry.
-// Not part of the public io API surface.
+// The registry-layout parser MappedRegistry::open sits on, shared with
+// binary.cpp (where the header and index codecs live) and with tests that
+// need record offsets to corrupt a store on purpose.  Not part of the
+// public io API surface.
 #pragma once
 
 #include <cstdint>
@@ -18,7 +20,6 @@ struct RegistryLayout {
     std::uint64_t len = 0;     // record length in bytes
     std::string_view name;     // borrows the index name blob
   };
-  std::uint32_t version = 0;
   std::vector<Entry> entries;
 };
 

@@ -11,9 +11,9 @@
 //   FileHeader (40 bytes)
 //     char magic[8]  = "P2MDL001"
 //     u32  version   = 1
-//     u32  kind      (1 = user registry, 2 = single enrolled user)
+//     u32  kind      = 1 (user registry; the only kind)
 //     u64  record_count
-//     u64  index_offset   (registry: offset of the name index; else 0)
+//     u64  index_offset   (offset of the name index)
 //     u64  reserved  = 0
 //
 //   Record x record_count  (one enrolled user each)
@@ -28,7 +28,7 @@
 //     Trailer (16 bytes): u32 'CRC1', u32 crc32, u64 0
 //       crc32 = CRC-32 (IEEE 802.3) over [record start, trailer start)
 //
-//   NameIndex (registry files only; written after the last record)
+//   NameIndex (written after the last record)
 //     SectionHeader: u32 'NIDX', u32 0, u64 payload_len
 //     payload: u64 entry_count,
 //              { u64 name_hash (FNV-1a 64), u64 record_offset,
@@ -41,7 +41,7 @@
 // the 40-byte header, so opening a 100k-user store faults in a few MB of
 // index pages while the record arena stays cold until a user is actually
 // looked up — that is what bounds resident memory.  Per-record CRC
-// trailers are verified lazily (on materialize / verify), following the
+// trailers are verified lazily (on materialize / verify_all), following the
 // tag+CRC trailer design of HyperStream's HSER1 format.
 #pragma once
 
@@ -60,9 +60,9 @@ inline constexpr std::size_t kFileHeaderBytes = 40;
 inline constexpr std::size_t kSectionHeaderBytes = 16;
 inline constexpr std::size_t kRecordTrailerBytes = 16;
 
+// A reader refuses any other kind with a typed kBadShape error.
 enum class FileKind : std::uint32_t {
   kUserRegistry = 1,
-  kEnrolledUser = 2,
 };
 
 // Section / record tags: four ASCII bytes packed little-endian.

@@ -169,30 +169,28 @@ std::span<const std::uint8_t> MappedRegistry::record_bytes(
                                static_cast<std::size_t>(e.len));
 }
 
-std::optional<MappedUser> MappedRegistry::find(std::string_view name,
-                                               bool verify_crc) const {
-  const std::size_t i = lookup(name);
-  if (i == npos) return std::nullopt;
-  return parse_user_record(record_bytes(i), verify_crc);
-}
-
-MappedUser MappedRegistry::at(std::string_view name, bool verify_crc) const {
+core::EnrolledUser MappedRegistry::materialize(std::string_view name) const {
   const std::size_t i = lookup(name);
   if (i == npos) {
     throw std::invalid_argument("MappedRegistry: unknown user '" +
                                 std::string(name) + "'");
   }
-  return parse_user_record(record_bytes(i), verify_crc);
-}
-
-core::EnrolledUser MappedRegistry::materialize(std::string_view name) const {
-  return materialize_user(at(name));
+  return materialize_user(parse_user_record(record_bytes(i)));
 }
 
 void MappedRegistry::verify_all() const {
   for (std::size_t i = 0; i < layout_.entries.size(); ++i) {
-    parse_user_record(record_bytes(i), /*verify_crc=*/true);
+    parse_user_record(record_bytes(i));
   }
+}
+
+core::UserRegistry load_user_registry_binary_file(const std::string& path) {
+  const MappedRegistry store = MappedRegistry::open(path);
+  core::UserRegistry registry;
+  for (const std::string_view name : store.names()) {
+    registry.add(std::string(name), store.materialize(name));
+  }
+  return registry;
 }
 
 }  // namespace p2auth::io

@@ -5,9 +5,10 @@
 // resident memory at open time is bounded by the index, not the store
 // (100k users with full models open in milliseconds touching a few
 // pages).  Lookups go through an open-addressed hash table built over
-// the index; a hit returns a MappedUser whose arrays are spans straight
-// into the mapping.  Per-record CRCs are verified lazily, on first
-// access of each record (or all at once via verify_all()).
+// the index; materialize parses a hit's record in place (its arrays are
+// spans straight into the mapping) and copies it out.  Per-record CRCs
+// are verified lazily, on each materialize (or all at once via
+// verify_all()).
 //
 // On platforms without POSIX mmap the file is read into an owned buffer
 // instead; the API and validation behaviour are identical, only the
@@ -15,7 +16,6 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <span>
 #include <string>
 #include <string_view>
@@ -68,16 +68,11 @@ class MappedRegistry {
   // borrow the mapping.
   std::vector<std::string_view> names() const;
 
-  // Zero-copy view of one user's record; std::nullopt for unknown names.
-  // Parses (and, by default, CRC-checks) the record on each call — the
-  // first touch of a record is what pages its bytes in.
-  std::optional<MappedUser> find(std::string_view name,
-                                 bool verify_crc = true) const;
-  // Like find() but an unknown name throws std::invalid_argument, same
-  // contract as UserRegistry::authenticate's name handling.
-  MappedUser at(std::string_view name, bool verify_crc = true) const;
-
-  // Deep-copies one user out of the mapping into an owning EnrolledUser.
+  // Deep-copies one user out of the mapping into an owning EnrolledUser,
+  // CRC-checking and parsing its record first (the first touch of a
+  // record is what pages its bytes in).  An unknown name throws
+  // std::invalid_argument, same contract as UserRegistry::authenticate's
+  // name handling; a damaged record throws util::SerializeError.
   core::EnrolledUser materialize(std::string_view name) const;
 
   // CRC-checks and structurally parses every record (the full-integrity
@@ -85,10 +80,7 @@ class MappedRegistry {
   // first bad record.
   void verify_all() const;
 
-  // The raw mapping (diagnostics / tooling).
-  std::span<const std::uint8_t> file_bytes() const noexcept {
-    return file_.bytes();
-  }
+  // True when the store is a real mmap (false on the buffer fallback).
   bool is_mapped() const noexcept { return file_.is_mapped(); }
 
  private:

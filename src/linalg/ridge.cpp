@@ -60,18 +60,16 @@ void RidgeClassifier::fit(const Matrix& x, std::span<const double> y,
     }
   }
 
-  // Intercept handling: augment the features with a constant column so
-  // the leave-one-out identity below stays exact (centering on the full
-  // sample would leak the held-out point into every fold).  The intercept
-  // is therefore lightly penalised, which is harmless at this scale.
-  const double intercept_column = options.fit_intercept ? 1.0 : 0.0;
-
+  // Intercept handling: augment the features with a constant column of
+  // ones so the leave-one-out identity below stays exact (centering on
+  // the full sample would leak the held-out point into every fold).  The
+  // intercept is therefore lightly penalised, which is harmless at this
+  // scale.
+  //
   // Dual formulation on the n x n Gram matrix of the augmented features.
   Matrix k = x.gram_rows();
-  if (options.fit_intercept) {
-    for (std::size_t i = 0; i < n; ++i) {
-      for (std::size_t j = 0; j < n; ++j) k(i, j) += 1.0;
-    }
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j < n; ++j) k(i, j) += 1.0;
   }
   const EigenDecomposition eig = eigen_symmetric(k);
   const Vector yv(y.begin(), y.end());
@@ -164,13 +162,13 @@ void RidgeClassifier::fit(const Matrix& x, std::span<const double> y,
   }
 
   // Primal weights w = X^T alpha; the intercept is the weight of the
-  // constant column, sum(alpha) * intercept_column.
+  // constant column, sum(alpha).
   weights_.assign(p, 0.0);
   for (std::size_t i = 0; i < n; ++i) {
     axpy(best_alpha[i], x.row(i), weights_);
   }
   bias_ = 0.0;
-  for (const double a : best_alpha) bias_ += a * intercept_column;
+  for (const double a : best_alpha) bias_ += a;
   chosen_lambda_ = best_lambda;
   best_loo_error_ = best_err;
   obs::add_counter("ridge.fits");

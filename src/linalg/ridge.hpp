@@ -24,9 +24,6 @@ struct RidgeOptions {
   // alphas=logspace(-3, 3, 10).
   Vector lambdas = {1e-3, 4.64e-3, 2.15e-2, 1e-1, 4.64e-1,
                     2.15e0, 1e1,    4.64e1,  2.15e2, 1e3};
-  // If true, subtract feature means (recommended; matches sklearn's
-  // intercept handling).
-  bool fit_intercept = true;
 };
 
 class RidgeClassifier {

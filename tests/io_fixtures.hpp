@@ -1,11 +1,17 @@
-// Deterministic synthetic models for the persistence tests.
+// Deterministic synthetic models and store-file helpers for the
+// persistence tests.
 //
-// Built directly via the from_parts validators (no enrollment pipeline),
-// so constructing a structurally complete EnrolledUser costs microseconds
-// and the same seed always produces byte-identical stores.
+// Models are built directly via the from_parts validators (no enrollment
+// pipeline), so constructing a structurally complete EnrolledUser costs
+// microseconds and the same seed always produces byte-identical stores.
 #pragma once
 
-#include <sstream>
+#include <unistd.h>
+
+#include <cstdint>
+#include <cstdio>
+#include <fstream>
+#include <iterator>
 #include <string>
 #include <utility>
 #include <vector>
@@ -74,9 +80,10 @@ inline core::UserRegistry make_test_registry(std::uint64_t seed = 20260808) {
   return registry;
 }
 
-// Round-trips fitted transforms through the P2MDL001 store: they ride as
-// the channels of one user's full model, behind a zero ridge of matching
-// width, and come back through the reader's from_parts validators.
+// Round-trips fitted transforms through the P2MDL001 record codec: they
+// ride as the channels of one user's full model, behind a zero ridge of
+// matching width, and come back through the reader's from_parts
+// validators.
 inline ml::MultiChannelMiniRocket store_round_trip(
     const ml::MultiChannelMiniRocket& rocket) {
   core::EnrolledUser user;
@@ -86,15 +93,40 @@ inline ml::MultiChannelMiniRocket store_round_trip(
       linalg::RidgeClassifier::from_parts(
           linalg::Vector(rocket.num_features(), 0.0), 0.0, 1.0),
       0.0);
-  std::stringstream ss;
-  io::save_enrolled_user_binary(user, ss);
-  return io::load_enrolled_user_binary(ss).full_model->rocket();
+  const std::vector<std::uint8_t> record = io::build_user_record(user);
+  return io::materialize_user(io::parse_user_record(record))
+      .full_model->rocket();
 }
 
 inline ml::MiniRocket store_round_trip(const ml::MiniRocket& rocket) {
   return store_round_trip(
              ml::MultiChannelMiniRocket::from_parts(rocket.options(), {rocket}))
       .channel(0);
+}
+
+// A store path unique to this process, removed on destruction.  ctest
+// runs the cases of one suite as parallel processes, so fixed names
+// would collide under ctest -j.
+struct TempStore {
+  std::string path;
+  explicit TempStore(const std::string& stem)
+      : path(stem + "." + std::to_string(static_cast<long>(::getpid())) +
+             ".p2mdl") {}
+  ~TempStore() { std::remove(path.c_str()); }
+  TempStore(const TempStore&) = delete;
+  TempStore& operator=(const TempStore&) = delete;
+};
+
+inline std::vector<std::uint8_t> read_file_bytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+inline void write_file_bytes(const std::string& path,
+                             const std::vector<std::uint8_t>& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(reinterpret_cast<const char*>(bytes.data()),
+            static_cast<std::streamsize>(bytes.size()));
 }
 
 }  // namespace p2auth::testing

@@ -1,12 +1,11 @@
 #include "io/binary.hpp"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
-#include <cstdio>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
-#include <sstream>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -24,6 +23,7 @@ namespace {
 
 using core::EnrolledUser;
 using core::UserRegistry;
+using testing::TempStore;
 using util::SerializeErrc;
 using util::SerializeError;
 
@@ -33,10 +33,10 @@ std::vector<std::uint8_t> bytes_of(const EnrolledUser& user) {
   return build_user_record(user);
 }
 
-std::string bytes_of(const UserRegistry& registry) {
-  std::ostringstream os;
-  save_user_registry_binary(registry, os);
-  return os.str();
+std::vector<std::uint8_t> bytes_of(const UserRegistry& registry) {
+  const TempStore tmp("io_bytes_of");
+  save_user_registry_binary_file(registry, tmp.path);
+  return testing::read_file_bytes(tmp.path);
 }
 
 UserRegistry materialize_all(const MappedRegistry& mapped) {
@@ -51,13 +51,6 @@ EnrolledUser fixture_user() {
   util::Rng rng(101);
   return testing::make_test_user(rng, 7, "1628");
 }
-
-// Scoped temp file that cleans up after itself.
-struct TempFile {
-  std::string path;
-  explicit TempFile(std::string name) : path(std::move(name)) {}
-  ~TempFile() { std::remove(path.c_str()); }
-};
 
 // Re-stamps a record's CRC trailer after a deliberate patch, so the
 // structural validators (not the CRC) see the mutation.
@@ -79,25 +72,16 @@ TEST(Crc32, MatchesIeeeCheckValue) {
 
 TEST(IoBinary, UserRoundTripIsLossless) {
   const EnrolledUser user = fixture_user();
-  std::stringstream ss;
-  save_enrolled_user_binary(user, ss);
-  const EnrolledUser restored = load_enrolled_user_binary(ss);
-  EXPECT_EQ(bytes_of(restored), bytes_of(user));
-}
-
-TEST(IoBinary, UserFileRoundTripIsLossless) {
-  const EnrolledUser user = fixture_user();
-  TempFile tmp("io_user_roundtrip.p2mdl");
-  save_enrolled_user_binary_file(user, tmp.path);
-  const EnrolledUser restored = load_enrolled_user_binary_file(tmp.path);
-  EXPECT_EQ(bytes_of(restored), bytes_of(user));
+  const std::vector<std::uint8_t> record = build_user_record(user);
+  const EnrolledUser restored = materialize_user(parse_user_record(record));
+  EXPECT_EQ(bytes_of(restored), record);
 }
 
 TEST(IoBinary, RegistryRoundTripIsLossless) {
   const UserRegistry registry = testing::make_test_registry();
-  std::stringstream ss;
-  save_user_registry_binary(registry, ss);
-  const UserRegistry restored = load_user_registry_binary(ss);
+  const TempStore tmp("io_registry_roundtrip");
+  save_user_registry_binary_file(registry, tmp.path);
+  const UserRegistry restored = load_user_registry_binary_file(tmp.path);
   ASSERT_EQ(restored.names(), registry.names());
   for (const std::string& name : registry.names()) {
     EXPECT_EQ(bytes_of(*restored.find(name)), bytes_of(*registry.find(name)))
@@ -105,22 +89,10 @@ TEST(IoBinary, RegistryRoundTripIsLossless) {
   }
 }
 
-TEST(IoBinary, FileWriterMatchesStreamWriterByteForByte) {
-  const UserRegistry registry = testing::make_test_registry();
-  std::stringstream ss;
-  save_user_registry_binary(registry, ss);
-  TempFile tmp("io_registry_writers.p2mdl");
-  save_user_registry_binary_file(registry, tmp.path);
-  std::ifstream in(tmp.path, std::ios::binary);
-  std::stringstream file_bytes;
-  file_bytes << in.rdbuf();
-  EXPECT_EQ(file_bytes.str(), ss.str());
-}
-
 TEST(IoBinary, ZeroCopyViewMatchesSource) {
   const EnrolledUser user = fixture_user();
   const std::vector<std::uint8_t> record = build_user_record(user);
-  const MappedUser view = parse_user_record(record, /*verify_crc=*/true);
+  const MappedUser view = parse_user_record(record);
 
   EXPECT_EQ(view.pin, user.pin.digits());
   EXPECT_EQ(view.user_id, user.user_id);
@@ -145,27 +117,28 @@ TEST(IoBinary, ZeroCopyViewMatchesSource) {
   for (std::size_t i = 0; i < ch.biases().size(); ++i) {
     EXPECT_EQ(mapped.channels[0].biases[i], ch.biases()[i]);
   }
+  EXPECT_EQ(mapped.ridge.bias, model.ridge().bias());
+  EXPECT_EQ(mapped.ridge.lambda, model.ridge().chosen_lambda());
+  ASSERT_EQ(mapped.ridge.weights.size(), model.ridge().weights().size());
+  for (std::size_t i = 0; i < mapped.ridge.weights.size(); ++i) {
+    EXPECT_EQ(mapped.ridge.weights[i], model.ridge().weights()[i]);
+  }
   // The spans must point into the record, not at copies.
   const auto* lo = record.data();
   const auto* hi = record.data() + record.size();
-  const auto* bias_ptr =
-      reinterpret_cast<const std::uint8_t*>(mapped.channels[0].biases.data());
-  EXPECT_GE(bias_ptr, lo);
-  EXPECT_LT(bias_ptr, hi);
-  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(bias_ptr) % 8, 0u);
-
-  // Mapped ridge evaluates identically to the owning classifier.
-  std::vector<double> probe(model.ridge().weights().size());
-  for (std::size_t i = 0; i < probe.size(); ++i) {
-    probe[i] = 0.01 * static_cast<double>(i % 17) - 0.05;
+  for (const void* p : {static_cast<const void*>(
+                            mapped.channels[0].biases.data()),
+                        static_cast<const void*>(mapped.ridge.weights.data())}) {
+    const auto* ptr = static_cast<const std::uint8_t*>(p);
+    EXPECT_GE(ptr, lo);
+    EXPECT_LT(ptr, hi);
+    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(ptr) % 8, 0u);
   }
-  EXPECT_DOUBLE_EQ(mapped.ridge.decision(probe),
-                   model.ridge().decision(probe));
 }
 
 TEST(IoBinary, MappedRegistryLookupAndMaterialize) {
   const UserRegistry registry = testing::make_test_registry();
-  TempFile tmp("io_mapped_registry.p2mdl");
+  const TempStore tmp("io_mapped_registry");
   save_user_registry_binary_file(registry, tmp.path);
 
   const MappedRegistry mapped = MappedRegistry::open(tmp.path);
@@ -173,8 +146,7 @@ TEST(IoBinary, MappedRegistryLookupAndMaterialize) {
   EXPECT_TRUE(mapped.contains("alice"));
   EXPECT_TRUE(mapped.contains("carol"));
   EXPECT_FALSE(mapped.contains("mallory"));
-  EXPECT_FALSE(mapped.find("mallory").has_value());
-  EXPECT_THROW(mapped.at("mallory"), std::invalid_argument);
+  EXPECT_THROW(mapped.materialize("mallory"), std::invalid_argument);
   EXPECT_NO_THROW(mapped.verify_all());
 
   const auto names = mapped.names();
@@ -193,7 +165,7 @@ TEST(IoBinary, ReplacingAMappedStoreKeepsTheOldGenerationReadable) {
   // old mapping's last pages.
   UserRegistry new_generation = testing::make_test_registry(2);
   new_generation.remove("carol");
-  TempFile tmp("io_replace_mapped.p2mdl");
+  const TempStore tmp("io_replace_mapped");
   save_user_registry_binary_file(old_generation, tmp.path);
 
   const MappedRegistry before = MappedRegistry::open(tmp.path);
@@ -206,9 +178,9 @@ TEST(IoBinary, ReplacingAMappedStoreKeepsTheOldGenerationReadable) {
 
 TEST(IoBinary, EmptyRegistryRoundTrips) {
   const UserRegistry empty;
-  std::stringstream ss;
-  save_user_registry_binary(empty, ss);
-  const UserRegistry restored = load_user_registry_binary(ss);
+  const TempStore tmp("io_empty_registry");
+  save_user_registry_binary_file(empty, tmp.path);
+  const UserRegistry restored = load_user_registry_binary_file(tmp.path);
   EXPECT_EQ(restored.size(), 0u);
 }
 
@@ -258,10 +230,14 @@ const Enrolled& enrolled() {
   return instance;
 }
 
+// Writes `user` into a one-user store and reads it back through the
+// mapping, the way the service loads a model.
 EnrolledUser round_trip(const EnrolledUser& user) {
-  std::stringstream ss;
-  save_enrolled_user_binary(user, ss);
-  return load_enrolled_user_binary(ss);
+  UserRegistry registry;
+  registry.add("user", user);
+  const TempStore tmp("io_round_trip");
+  save_user_registry_binary_file(registry, tmp.path);
+  return MappedRegistry::open(tmp.path).materialize("user");
 }
 
 TEST(Serialization, WaveformModelRoundTripPreservesDecisions) {
@@ -302,10 +278,13 @@ TEST(Serialization, EnrolledUserRoundTripPreservesAuthDecisions) {
 
 TEST(Serialization, FileRoundTrip) {
   const Enrolled& f = enrolled();
-  TempFile tmp("io_enrolled_user.p2mdl");
-  save_enrolled_user_binary_file(f.user, tmp.path);
-  const EnrolledUser restored = load_enrolled_user_binary_file(tmp.path);
-  EXPECT_EQ(bytes_of(restored), bytes_of(f.user));
+  UserRegistry registry;
+  registry.add("enrolled", f.user);
+  const TempStore tmp("io_enrolled_user");
+  save_user_registry_binary_file(registry, tmp.path);
+  const UserRegistry restored = load_user_registry_binary_file(tmp.path);
+  ASSERT_NE(restored.find("enrolled"), nullptr);
+  EXPECT_EQ(bytes_of(*restored.find("enrolled")), bytes_of(f.user));
 }
 
 TEST(Serialization, FileErrorsThrow) {
@@ -318,17 +297,23 @@ TEST(Serialization, FileErrorsThrow) {
       EXPECT_EQ(e.code(), SerializeErrc::kIoError) << e.what();
     }
   };
+  UserRegistry registry;
+  registry.add("enrolled", f.user);
+  expect_io_error([&] {
+    save_user_registry_binary_file(registry, "/no-such-dir/x.p2mdl");
+  });
   expect_io_error(
-      [&] { save_enrolled_user_binary_file(f.user, "/no-such-dir/x.p2mdl"); });
-  expect_io_error([] { (void)load_enrolled_user_binary_file("/no-such.p2mdl"); });
+      [] { (void)load_user_registry_binary_file("/no-such.p2mdl"); });
+  expect_io_error([] { (void)MappedRegistry::open("/no-such.p2mdl"); });
 
   // A replacement that fails after its temp file was written (here the
   // rename, because the target is a directory) removes the temp file.
-  const std::filesystem::path dir = "io_file_errors_dir";
+  const std::filesystem::path dir =
+      "io_file_errors_dir." + std::to_string(static_cast<long>(::getpid()));
   std::filesystem::remove_all(dir);
   std::filesystem::create_directories(dir / "target.p2mdl");
   expect_io_error([&] {
-    save_enrolled_user_binary_file(f.user, (dir / "target.p2mdl").string());
+    save_user_registry_binary_file(registry, (dir / "target.p2mdl").string());
   });
   std::size_t entries = 0;
   for (const auto& entry : std::filesystem::directory_iterator(dir)) {
@@ -339,18 +324,26 @@ TEST(Serialization, FileErrorsThrow) {
   std::filesystem::remove_all(dir);
 }
 
+// A store file cut in half, or one that does not start with the magic,
+// is refused whole by the eager loader.
 TEST(Serialization, CorruptedStreamThrows) {
   const Enrolled& f = enrolled();
-  std::stringstream ss;
-  save_enrolled_user_binary(f.user, ss);
-  const std::string bytes = ss.str();
-  std::stringstream truncated(bytes.substr(0, bytes.size() / 2));
-  EXPECT_THROW(load_enrolled_user_binary(truncated), SerializeError);
-  std::string bad = bytes;
-  bad.replace(0, 6, "broken");
-  std::stringstream wrong(bad);
+  UserRegistry registry;
+  registry.add("enrolled", f.user);
+  const TempStore tmp("io_corrupted_store");
+  save_user_registry_binary_file(registry, tmp.path);
+  const std::vector<std::uint8_t> bytes = testing::read_file_bytes(tmp.path);
+
+  testing::write_file_bytes(
+      tmp.path, std::vector<std::uint8_t>(bytes.begin(),
+                                          bytes.begin() + bytes.size() / 2));
+  EXPECT_THROW(load_user_registry_binary_file(tmp.path), SerializeError);
+
+  std::vector<std::uint8_t> bad = bytes;
+  std::memcpy(bad.data(), "broken", 6);
+  testing::write_file_bytes(tmp.path, bad);
   try {
-    (void)load_enrolled_user_binary(wrong);
+    (void)load_user_registry_binary_file(tmp.path);
     FAIL() << "expected SerializeError";
   } catch (const SerializeError& e) {
     EXPECT_EQ(e.code(), SerializeErrc::kBadMagic);
@@ -363,7 +356,7 @@ TEST(Serialization, NonFiniteValuesInStoreRejectLoudly) {
   // non-finite.
   const Enrolled& f = enrolled();
   std::vector<std::uint8_t> record = build_user_record(f.user);
-  const MappedUser view = parse_user_record(record, /*verify_crc=*/true);
+  const MappedUser view = parse_user_record(record);
   // RIDG payload: f64 bias, f64 lambda, u64 n, then the weights.
   const std::size_t bias_offset =
       static_cast<std::size_t>(
@@ -375,7 +368,7 @@ TEST(Serialization, NonFiniteValuesInStoreRejectLoudly) {
   std::memcpy(record.data() + bias_offset, &inf, sizeof(inf));
   restamp_crc(record);
   try {
-    (void)materialize_user(parse_user_record(record, /*verify_crc=*/true));
+    (void)materialize_user(parse_user_record(record));
     FAIL() << "expected SerializeError";
   } catch (const SerializeError& e) {
     EXPECT_EQ(e.code(), SerializeErrc::kBadValue);
@@ -387,8 +380,7 @@ TEST(Serialization, NonFiniteValuesInStoreRejectLoudly) {
 TEST(Serialization, UntrainedModelRefusesToSave) {
   EnrolledUser user = fixture_user();
   user.full_model = core::WaveformModel{};
-  std::stringstream ss;
-  EXPECT_THROW(save_enrolled_user_binary(user, ss), std::logic_error);
+  EXPECT_THROW((void)build_user_record(user), std::logic_error);
 }
 
 TEST(Serialization, LoadedModelRefusesQualityEstimate) {

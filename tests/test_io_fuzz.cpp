@@ -1,54 +1,55 @@
-// Corrupted-store fuzz suite for the P2MDL001 loaders.
+// Corrupted-store fuzz suite for the P2MDL001 reader.
 //
-// Contract under corruption: a loader either succeeds (a mutation can
+// Contract under corruption: reading either succeeds (a mutation can
 // land in a don't-care header byte) or throws util::SerializeError.  It
 // must never crash, escape with another exception type, or attempt an
 // allocation sized by a corrupted length field.  Every bit flip inside
 // the CRC-covered region of a record (or the registry name index) must
 // be rejected.
+//
+// User-level cases mutate one record and read it through the record
+// codec (parse_user_record + materialize_user), each from a buffer of
+// exactly the mutated length so a sanitizer sees any overread.
+// Registry-level cases write each mutated image to a per-process temp
+// file and read it the way the service does: MappedRegistry::open, then
+// verify_all, then materialize every name.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "io/binary.hpp"
 #include "io/bytes.hpp"
 #include "io/format.hpp"
+#include "io/mmap_registry.hpp"
 #include "io_fixtures.hpp"
 
 namespace p2auth::io {
 namespace {
 
-using core::EnrolledUser;
+using Bytes = std::vector<std::uint8_t>;
 using util::SerializeErrc;
 using util::SerializeError;
 
-EnrolledUser fuzz_user() {
+Bytes user_record() {
   util::Rng rng(77);
-  return testing::make_test_user(rng, 9, "0413");
+  return build_user_record(testing::make_test_user(rng, 9, "0413"));
 }
 
-std::string binary_user_bytes() {
-  std::stringstream ss;
-  save_enrolled_user_binary(fuzz_user(), ss);
-  return ss.str();
+Bytes registry_image() {
+  const testing::TempStore tmp("io_fuzz_source");
+  save_user_registry_binary_file(testing::make_test_registry(11), tmp.path);
+  return testing::read_file_bytes(tmp.path);
 }
 
-std::string binary_registry_bytes() {
-  std::stringstream ss;
-  save_user_registry_binary(testing::make_test_registry(11), ss);
-  return ss.str();
-}
-
-// Result of one corrupted-load attempt.
+// Result of one corrupted-read attempt.
 enum class Outcome { kLoaded, kTypedError };
 
-Outcome load_binary_user(const std::string& bytes) {
-  std::stringstream ss(bytes);
+Outcome read_record(const Bytes& record) {
   try {
-    (void)load_enrolled_user_binary(ss);
+    (void)materialize_user(parse_user_record(record));
     return Outcome::kLoaded;
   } catch (const SerializeError&) {
     return Outcome::kTypedError;
@@ -56,171 +57,187 @@ Outcome load_binary_user(const std::string& bytes) {
   // Any other exception type propagates and fails the test.
 }
 
-Outcome load_binary_registry(const std::string& bytes) {
-  std::stringstream ss(bytes);
+// Reads a store image through the mapping; throws what the reader throws.
+void read_store_or_throw(const Bytes& image) {
+  const testing::TempStore tmp("io_fuzz_image");
+  testing::write_file_bytes(tmp.path, image);
+  const MappedRegistry store = MappedRegistry::open(tmp.path);
+  store.verify_all();
+  for (const std::string_view name : store.names()) {
+    (void)store.materialize(name);
+  }
+}
+
+Outcome read_store(const Bytes& image) {
   try {
-    (void)load_user_registry_binary(ss);
+    read_store_or_throw(image);
     return Outcome::kLoaded;
   } catch (const SerializeError&) {
     return Outcome::kTypedError;
   }
 }
 
-// Re-stamps the CRC trailer of a single-user file image after a
-// deliberate field patch, so the structural validator (not the CRC) is
-// what rejects the mutation.
-void restamp_user_crc(std::string& file) {
-  auto* bytes = reinterpret_cast<std::uint8_t*>(file.data());
-  const std::span<const std::uint8_t> record(
-      bytes + kFileHeaderBytes, file.size() - kFileHeaderBytes);
-  const std::uint32_t crc =
-      crc32(record.first(record.size() - kRecordTrailerBytes));
-  std::memcpy(bytes + file.size() - 12, &crc, sizeof(crc));
+void expect_store_error(const Bytes& image, SerializeErrc code,
+                        const char* what) {
+  try {
+    read_store_or_throw(image);
+    ADD_FAILURE() << what << " loaded";
+  } catch (const SerializeError& e) {
+    EXPECT_EQ(e.code(), code) << what << ": " << e.what();
+  }
 }
 
-void patch_u64(std::string& file, std::size_t offset, std::uint64_t v) {
-  std::memcpy(file.data() + offset, &v, sizeof(v));
+void expect_record_error(const Bytes& record, SerializeErrc code,
+                         const char* what) {
+  try {
+    (void)materialize_user(parse_user_record(record));
+    ADD_FAILURE() << what << " loaded";
+  } catch (const SerializeError& e) {
+    EXPECT_EQ(e.code(), code) << what << ": " << e.what();
+  }
 }
 
-// ---- binary: truncation -----------------------------------------------
+// Re-stamps a record's CRC trailer after a deliberate field patch, so
+// the structural validator (not the CRC) is what rejects the mutation.
+void restamp_crc(Bytes& record) {
+  const std::uint32_t crc = crc32(
+      std::span<const std::uint8_t>(record).first(record.size() -
+                                                  kRecordTrailerBytes));
+  std::memcpy(record.data() + record.size() - 12, &crc, sizeof(crc));
+}
+
+void patch_u32(Bytes& bytes, std::size_t offset, std::uint32_t v) {
+  std::memcpy(bytes.data() + offset, &v, sizeof(v));
+}
+
+void patch_u64(Bytes& bytes, std::size_t offset, std::uint64_t v) {
+  std::memcpy(bytes.data() + offset, &v, sizeof(v));
+}
+
+// ---- truncation -------------------------------------------------------
 
 TEST(IoFuzz, BinaryUserTruncationIsAlwaysTyped) {
-  const std::string good = binary_user_bytes();
-  ASSERT_EQ(load_binary_user(good), Outcome::kLoaded);
+  const Bytes good = user_record();
+  ASSERT_EQ(read_record(good), Outcome::kLoaded);
   const std::size_t step = std::max<std::size_t>(1, good.size() / 409);
   for (std::size_t len = 0; len < good.size(); len += step) {
-    EXPECT_EQ(load_binary_user(good.substr(0, len)), Outcome::kTypedError)
+    EXPECT_EQ(read_record(Bytes(good.begin(), good.begin() + len)),
+              Outcome::kTypedError)
         << "prefix of " << len << " bytes loaded";
   }
   // The last 16 boundaries (inside the CRC trailer) individually.
   for (std::size_t cut = 1; cut <= 16; ++cut) {
-    EXPECT_EQ(load_binary_user(good.substr(0, good.size() - cut)),
+    EXPECT_EQ(read_record(Bytes(good.begin(), good.end() - cut)),
               Outcome::kTypedError);
   }
 }
 
 TEST(IoFuzz, BinaryRegistryTruncationIsAlwaysTyped) {
-  const std::string good = binary_registry_bytes();
-  ASSERT_EQ(load_binary_registry(good), Outcome::kLoaded);
+  const Bytes good = registry_image();
+  ASSERT_EQ(read_store(good), Outcome::kLoaded);
   const std::size_t step = std::max<std::size_t>(1, good.size() / 211);
   for (std::size_t len = 0; len < good.size(); len += step) {
-    EXPECT_EQ(load_binary_registry(good.substr(0, len)),
+    EXPECT_EQ(read_store(Bytes(good.begin(), good.begin() + len)),
               Outcome::kTypedError)
         << "prefix of " << len << " bytes loaded";
   }
 }
 
-// ---- binary: bit flips in the CRC-covered region ----------------------
+// ---- bit flips in the CRC-covered region ------------------------------
 
 TEST(IoFuzz, BinaryUserBitFlipsAreAllRejected) {
-  const std::string good = binary_user_bytes();
-  // Everything from the first record byte on is CRC-covered (the file
-  // header's validated fields are checked structurally instead).
-  for (std::size_t i = kFileHeaderBytes; i < good.size(); ++i) {
-    std::string bad = good;
-    bad[i] = static_cast<char>(bad[i] ^ (1u << (i % 8)));
-    EXPECT_EQ(load_binary_user(bad), Outcome::kTypedError)
+  const Bytes good = user_record();
+  // Every record byte is CRC-covered, or (the trailer's reserved tail)
+  // checked to be zero.
+  for (std::size_t i = 0; i < good.size(); ++i) {
+    Bytes bad = good;
+    bad[i] = static_cast<std::uint8_t>(bad[i] ^ (1u << (i % 8)));
+    EXPECT_EQ(read_record(bad), Outcome::kTypedError)
         << "flip at byte " << i << " loaded";
   }
 }
 
 TEST(IoFuzz, BinaryRegistryBitFlipsAreAllRejected) {
-  const std::string good = binary_registry_bytes();
+  const Bytes good = registry_image();
   const std::size_t step = 7;  // records + index; sampled for speed
   for (std::size_t i = kFileHeaderBytes; i < good.size(); i += step) {
-    std::string bad = good;
-    bad[i] = static_cast<char>(bad[i] ^ (1u << (i % 8)));
-    EXPECT_EQ(load_binary_registry(bad), Outcome::kTypedError)
+    Bytes bad = good;
+    bad[i] = static_cast<std::uint8_t>(bad[i] ^ (1u << (i % 8)));
+    EXPECT_EQ(read_store(bad), Outcome::kTypedError)
         << "flip at byte " << i << " loaded";
   }
 }
 
+// ---- the file header --------------------------------------------------
+
+// Registry header offsets (see io/format.hpp): magic at 0, version at 8,
+// kind at 12.
+constexpr std::size_t kOffVersion = 8;
+constexpr std::size_t kOffKind = 12;
+
 TEST(IoFuzz, BinaryHeaderFieldCorruptionIsTyped) {
-  const std::string good = binary_user_bytes();
+  const Bytes good = registry_image();
   for (std::size_t i = 0; i < kFileHeaderBytes; ++i) {
     for (unsigned bit = 0; bit < 8; ++bit) {
-      std::string bad = good;
-      bad[i] = static_cast<char>(bad[i] ^ (1u << bit));
-      // Header don't-care bytes (index_offset/reserved of a user file)
-      // may load; everything else must fail typed.  Either way: no
-      // crash, no foreign exception.
-      (void)load_binary_user(bad);
+      Bytes bad = good;
+      bad[i] = static_cast<std::uint8_t>(bad[i] ^ (1u << bit));
+      // The reserved u64 is a don't-care and may load; everything else
+      // must fail typed.  Either way: no crash, no foreign exception.
+      (void)read_store(bad);
     }
   }
   // The validated fields specifically:
   {
-    std::string bad = good;
-    bad[0] = 'X';  // magic
-    std::stringstream ss(bad);
-    try {
-      (void)load_enrolled_user_binary(ss);
-      FAIL() << "bad magic loaded";
-    } catch (const SerializeError& e) {
-      EXPECT_EQ(e.code(), SerializeErrc::kBadMagic);
-    }
+    Bytes bad = good;
+    bad[0] = 'X';
+    expect_store_error(bad, SerializeErrc::kBadMagic, "bad magic");
   }
   {
-    std::string bad = good;
-    bad[8] = 9;  // version
-    std::stringstream ss(bad);
-    try {
-      (void)load_enrolled_user_binary(ss);
-      FAIL() << "bad version loaded";
-    } catch (const SerializeError& e) {
-      EXPECT_EQ(e.code(), SerializeErrc::kVersionSkew);
-    }
+    Bytes bad = good;
+    patch_u32(bad, kOffVersion, 9);
+    expect_store_error(bad, SerializeErrc::kVersionSkew, "bad version");
+  }
+  // Kind 1 (registry) is the only file kind; every other value, 2
+  // included, is refused.
+  for (const std::uint32_t kind : {0u, 2u, 3u, 0xFFFFFFFFu}) {
+    Bytes bad = good;
+    patch_u32(bad, kOffKind, kind);
+    expect_store_error(bad, SerializeErrc::kBadShape, "unknown file kind");
   }
 }
 
-// ---- binary: hostile length fields (CRC re-stamped) -------------------
+// ---- hostile length fields (CRC re-stamped) ---------------------------
 
-// Single-user file offsets (see io/format.hpp): record at 40, its
-// record_len field at 48, first section (USRH) payload_len at 64, and
-// the USRH pin_len 48 bytes into the section payload (at 120).
-constexpr std::size_t kOffRecordLen = 48;
-constexpr std::size_t kOffUsrhLen = 64;
-constexpr std::size_t kOffPinLen = 120;
+// Record offsets (see io/format.hpp): the record_len field at 8, the
+// first section's (USRH) payload_len at 24, and the USRH pin_len 48
+// bytes into the section payload (at 80).
+constexpr std::size_t kOffRecordLen = 8;
+constexpr std::size_t kOffUsrhLen = 24;
+constexpr std::size_t kOffPinLen = 80;
 
 TEST(IoFuzz, OversizedRecordLengthRejectedWithoutAllocation) {
-  std::string bad = binary_user_bytes();
+  Bytes bad = user_record();
   patch_u64(bad, kOffRecordLen, std::uint64_t{1} << 60);
-  restamp_user_crc(bad);
-  std::stringstream ss(bad);
-  try {
-    (void)load_enrolled_user_binary(ss);
-    FAIL() << "oversized record_len loaded";
-  } catch (const SerializeError& e) {
-    EXPECT_EQ(e.code(), SerializeErrc::kBadShape);
-  }
+  restamp_crc(bad);
+  expect_record_error(bad, SerializeErrc::kBadShape, "oversized record_len");
 }
 
 TEST(IoFuzz, OversizedSectionLengthRejected) {
-  std::string bad = binary_user_bytes();
+  Bytes bad = user_record();
   patch_u64(bad, kOffUsrhLen, std::uint64_t{1} << 50);
-  restamp_user_crc(bad);
-  std::stringstream ss(bad);
-  try {
-    (void)load_enrolled_user_binary(ss);
-    FAIL() << "oversized section length loaded";
-  } catch (const SerializeError& e) {
-    EXPECT_EQ(e.code(), SerializeErrc::kTruncated);
-  }
+  restamp_crc(bad);
+  expect_record_error(bad, SerializeErrc::kTruncated,
+                      "oversized section length");
 }
 
 TEST(IoFuzz, OversizedPinLengthRejected) {
-  std::string bad = binary_user_bytes();
+  Bytes bad = user_record();
   patch_u64(bad, kOffPinLen, std::uint64_t{1} << 40);
-  restamp_user_crc(bad);
-  std::stringstream ss(bad);
-  try {
-    (void)load_enrolled_user_binary(ss);
-    FAIL() << "oversized pin length loaded";
-  } catch (const SerializeError& e) {
-    EXPECT_EQ(e.code(), SerializeErrc::kBadShape);
-  }
+  restamp_crc(bad);
+  expect_record_error(bad, SerializeErrc::kBadShape, "oversized pin length");
 }
 
-// ---- binary: hostile name index ---------------------------------------
+// ---- hostile name index -----------------------------------------------
 
 struct IndexEntry {
   std::uint64_t hash, offset, len, name_off, name_len;
@@ -229,11 +246,11 @@ struct IndexEntry {
 // Hand-assembles a registry image holding `n_records` copies of one
 // record plus an arbitrary name index — the knob the corruption tests
 // turn.
-std::string make_registry_image(std::size_t n_records,
-                                const std::vector<IndexEntry>& entries,
-                                std::string_view blob) {
+Bytes make_registry_image(std::size_t n_records,
+                          const std::vector<IndexEntry>& entries,
+                          std::string_view blob) {
   util::Rng rng(5);
-  const std::vector<std::uint8_t> record =
+  const Bytes record =
       build_user_record(testing::make_test_user(rng, 1, "12"));
   const std::uint64_t index_offset =
       kFileHeaderBytes + n_records * record.size();
@@ -267,8 +284,7 @@ std::string make_registry_image(std::size_t n_records,
   w.u32(kTagCrcTrailer);
   w.u32(crc);
   w.u64(0);
-  return std::string(reinterpret_cast<const char*>(w.buffer().data()),
-                     w.size());
+  return std::move(w.buffer());
 }
 
 std::uint64_t record_len_of() {
@@ -282,14 +298,8 @@ TEST(IoFuzz, DuplicateRegistryNamesRejected) {
       {fnv1a64("dup"), kFileHeaderBytes, len, 0, 3},
       {fnv1a64("dup"), kFileHeaderBytes + len, len, 0, 3},
   };
-  const std::string image = make_registry_image(2, dup, "dup");
-  std::stringstream ss(image);
-  try {
-    (void)load_user_registry_binary(ss);
-    FAIL() << "duplicate names loaded";
-  } catch (const SerializeError& e) {
-    EXPECT_EQ(e.code(), SerializeErrc::kDuplicateName);
-  }
+  expect_store_error(make_registry_image(2, dup, "dup"),
+                     SerializeErrc::kDuplicateName, "duplicate names");
 }
 
 TEST(IoFuzz, IndexEntryHashMismatchRejected) {
@@ -297,14 +307,8 @@ TEST(IoFuzz, IndexEntryHashMismatchRejected) {
   const std::vector<IndexEntry> bad = {
       {fnv1a64("eve"), kFileHeaderBytes, len, 0, 3},  // blob says "abc"
   };
-  const std::string image = make_registry_image(1, bad, "abc");
-  std::stringstream ss(image);
-  try {
-    (void)load_user_registry_binary(ss);
-    FAIL() << "hash mismatch loaded";
-  } catch (const SerializeError& e) {
-    EXPECT_EQ(e.code(), SerializeErrc::kBadValue);
-  }
+  expect_store_error(make_registry_image(1, bad, "abc"),
+                     SerializeErrc::kBadValue, "hash mismatch");
 }
 
 TEST(IoFuzz, IndexEntrySpanOutOfBoundsRejected) {
@@ -312,14 +316,8 @@ TEST(IoFuzz, IndexEntrySpanOutOfBoundsRejected) {
   const std::vector<IndexEntry> bad = {
       {fnv1a64("abc"), kFileHeaderBytes + 8 * len, len, 0, 3},
   };
-  const std::string image = make_registry_image(1, bad, "abc");
-  std::stringstream ss(image);
-  try {
-    (void)load_user_registry_binary(ss);
-    FAIL() << "out-of-bounds record span loaded";
-  } catch (const SerializeError& e) {
-    EXPECT_EQ(e.code(), SerializeErrc::kBadShape);
-  }
+  expect_store_error(make_registry_image(1, bad, "abc"),
+                     SerializeErrc::kBadShape, "out-of-bounds record span");
 }
 
 }  // namespace

@@ -5,11 +5,11 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <sstream>
 #include <string>
 #include <utility>
 
 #include "io/binary.hpp"
+#include "io_fixtures.hpp"
 #include "sim/dataset.hpp"
 
 namespace p2auth::core {
@@ -166,9 +166,9 @@ TEST(Registry, IdentifyOnEmptyRegistryThrows) {
 
 TEST(Registry, SaveLoadRoundTrip) {
   const TwoUsers& f = fixture();
-  std::stringstream ss;
-  io::save_user_registry_binary(f.registry, ss);
-  const UserRegistry restored = io::load_user_registry_binary(ss);
+  const testing::TempStore tmp("registry_round_trip");
+  io::save_user_registry_binary_file(f.registry, tmp.path);
+  const UserRegistry restored = io::load_user_registry_binary_file(tmp.path);
   EXPECT_EQ(restored.size(), 2u);
   const Observation obs = f.entry_by(0, f.pin_a, 60);
   EXPECT_EQ(f.registry.verify("alice", obs).accepted,
@@ -178,8 +178,12 @@ TEST(Registry, SaveLoadRoundTrip) {
 }
 
 TEST(Registry, LoadRejectsCorruptedHeader) {
-  std::stringstream bad("not-a-registry 0");
-  EXPECT_THROW(io::load_user_registry_binary(bad), std::runtime_error);
+  const testing::TempStore tmp("registry_corrupted_header");
+  const std::string text = "not-a-registry 0";
+  testing::write_file_bytes(tmp.path,
+                            std::vector<std::uint8_t>(text.begin(), text.end()));
+  EXPECT_THROW(io::load_user_registry_binary_file(tmp.path),
+               std::runtime_error);
 }
 
 // Regression: an entry whose preprocessing found no calibrated keystroke

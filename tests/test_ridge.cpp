@@ -257,18 +257,6 @@ TEST(Ridge, FeatureSizeMismatchThrows) {
   EXPECT_THROW(clf.decision(Vector{1.0, 2.0}), std::invalid_argument);
 }
 
-TEST(Ridge, NoInterceptOption) {
-  util::Rng rng(7);
-  Matrix x;
-  std::vector<double> y;
-  make_separable(20, 10, 3.0, rng, x, y);
-  RidgeOptions opt;
-  opt.fit_intercept = false;
-  RidgeClassifier clf;
-  clf.fit(x, y, opt);
-  EXPECT_EQ(clf.bias(), 0.0);
-}
-
 class RidgeLambdaSweep : public ::testing::TestWithParam<double> {};
 
 TEST_P(RidgeLambdaSweep, LargerLambdaShrinksWeights) {

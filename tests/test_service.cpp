@@ -549,7 +549,7 @@ TEST(Service, CorruptStoredRecordIsTypedNotFatal) {
 // ---------------------------------------------------------------------
 // BenchReport golden fields (threads / shards / backend plumbing)
 
-std::string slurp(const std::string& path) {
+std::string read_text_file(const std::string& path) {
   std::ifstream in(path);
   std::stringstream buffer;
   buffer << in.rdbuf();
@@ -560,7 +560,7 @@ TEST(BenchReportFields, ConcurrencyOverrideIsRecorded) {
   bench::BenchReport report("golden_fields");
   report.concurrency(/*threads=*/8, /*shards=*/4);
   report.write();
-  const std::string json = slurp("BENCH_golden_fields.json");
+  const std::string json = read_text_file("BENCH_golden_fields.json");
   std::remove("BENCH_golden_fields.json");
   EXPECT_NE(json.find("\"threads\": 8"), std::string::npos) << json;
   EXPECT_NE(json.find("\"shards\": 4"), std::string::npos) << json;
@@ -570,7 +570,7 @@ TEST(BenchReportFields, ConcurrencyOverrideIsRecorded) {
 TEST(BenchReportFields, ShardsAbsentForSingleTenantBenches) {
   bench::BenchReport report("golden_fields2");
   report.write();
-  const std::string json = slurp("BENCH_golden_fields2.json");
+  const std::string json = read_text_file("BENCH_golden_fields2.json");
   std::remove("BENCH_golden_fields2.json");
   EXPECT_EQ(json.find("\"shards\""), std::string::npos) << json;
   EXPECT_NE(json.find("\"threads\""), std::string::npos) << json;
